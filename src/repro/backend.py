@@ -2,10 +2,11 @@
 
 Every hot-path array operation in the litho engine, the sparse EPE
 pipeline and the CFNO-lite surrogate routes through a single
-:class:`ArrayBackend` — the array namespace (``xp``), the 2-D FFT entry
-points, host/device movement, and the dtype policy all live here, so the
-entire screening/verification stack switches execution substrate behind
-one knob:
+:class:`ArrayBackend` — the array namespace (``xp``), the FFT entry
+points (2-D, plus the 1-D passes the litho engine's band-pruned
+transforms are built from), host/device movement, and the dtype policy
+all live here, so the entire screening/verification stack switches
+execution substrate behind one knob:
 
 * ``"numpy"`` — ``np.fft`` + host BLAS; single-threaded, bit-for-bit
   reproducible, and the backend the committed golden images were
@@ -280,9 +281,8 @@ class ArrayBackend:
 
     def rfft2(self, a, axes: tuple[int, int] = (-2, -1)):
         """Real-input forward transform (half-width spectrum along the
-        last axis).  The sparse EPE path pairs this with a Hermitian
-        band gather — roughly halving the forward-transform cost that
-        dominates its runtime."""
+        last axis): the litho engine's subgrid-intensity resample and
+        the surrogate's spectral layers."""
         if self.name == "scipy":
             return _scipy_fft.rfft2(a, axes=axes, workers=self.workers)
         if self.name == "torch":
@@ -290,6 +290,38 @@ class ArrayBackend:
                 self.asarray_f64(a), dim=axes
             )
         return np.fft.rfft2(a, axes=axes)
+
+    # -- 1-D transforms (band-pruned 2-D transforms are built from these) ----
+    def fft(self, a, axis: int = -1):
+        if self.name == "scipy":
+            return _scipy_fft.fft(a, axis=axis, workers=self.workers)
+        if self.name == "torch":
+            return _torch.fft.fft(self.to_device(a), dim=axis)
+        return np.fft.fft(a, axis=axis)
+
+    def ifft(self, a, axis: int = -1):
+        if self.name == "scipy":
+            return _scipy_fft.ifft(a, axis=axis, workers=self.workers)
+        if self.name == "torch":
+            return _torch.fft.ifft(self.to_device(a), dim=axis)
+        return np.fft.ifft(a, axis=axis)
+
+    def rfft(self, a, axis: int = -1):
+        if self.name == "scipy":
+            return _scipy_fft.rfft(a, axis=axis, workers=self.workers)
+        if self.name == "torch":
+            return _torch.fft.rfft(self.asarray_f64(a), dim=axis)
+        return np.fft.rfft(a, axis=axis)
+
+    def irfft(self, a, n: int, axis: int = -1):
+        """Inverse of :meth:`rfft` to length ``n``; an input holding fewer
+        than ``n // 2 + 1`` columns is zero-padded, which is what lets a
+        band-limited half spectrum skip its empty high columns."""
+        if self.name == "scipy":
+            return _scipy_fft.irfft(a, n=n, axis=axis, workers=self.workers)
+        if self.name == "torch":
+            return _torch.fft.irfft(self.to_device(a), n=n, dim=axis)
+        return np.fft.irfft(a, n=n, axis=axis)
 
 
 #: Backward-compatible alias: the FFT backend grew into the full array

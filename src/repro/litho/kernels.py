@@ -16,21 +16,35 @@ Convolution entry points:
   band spectra.  Everything else is tested against it.
 * :meth:`OpticalKernelSet.convolve_intensity_batch` /
   :meth:`~OpticalKernelSet.intensity_from_mask_ffts` — the unified
-  engine for ``(B, H, W)`` stacks: gather the pupil-band mask
-  coefficients, run the per-kernel inverse FFTs on an alias-free
-  ``m x m`` subgrid (``m >= 4b + 1`` so the *squared* field, band radius
-  ``2b``, folds nowhere), and resample the intensity to the full grid
-  with one zero-padded FFT interpolation.  Exact to FFT round-off
-  (<= 1e-9 absolute intensity) against the reference path, at what used
-  to be screening speed; it falls back to the full-grid loop when the
-  band covers the grid.
+  engine for ``(B, H, W)`` stacks, built on band-pruned real-input
+  transforms so no step computes a full-grid spectrum it then discards:
+
+  1. *forward* (:func:`band_rfft2`) — ``rfft`` along W, keep columns
+     ``0 .. b1``, ``fft`` along H on those ``b1 + 1`` columns only;
+  2. *gather* (:func:`gather_band_rfft`) — the negative-column half of
+     the pupil band comes from the stored columns by Hermitian symmetry;
+  3. *convolution* — the K coherent fields as one inverse transform
+     batched over the kernel axis on an alias-free ``m0 x m1`` subgrid
+     (``m >= 4b + 1`` so the *squared* field, band radius ``2b``, folds
+     nowhere), their powers summed in kernel order;
+  4. *resample* — a Hermitian pruned inverse: ``rfft2`` of the subgrid
+     intensity, its ``2 b1 + 1`` non-negative band columns scattered
+     onto the full-height grid, ``ifft`` along H on those columns, then
+     ``irfft`` along W with ``n = W``.
+
+  On the 500 x 500 via grid (``b = 13``, 54 x 54 subgrid) that replaces
+  a full complex 500 x 500 ``fft2`` forward and one 500 x 500 ``ifft2``
+  per corner with one real 500-row pass plus 14 (forward) or 27
+  (resample) column transforms.  Exact to FFT round-off (~1e-15
+  absolute intensity) against the reference path.  The engine falls
+  back to the full-grid per-kernel loop on full ``fft2`` spectra when
+  the band covers the grid, and for legacy spatial sets.
 
 Lower-level helpers (:meth:`~OpticalKernelSet.kernel_spectra`,
 :meth:`~OpticalKernelSet.weights_for`,
 :meth:`~OpticalKernelSet.fields_from_mask_fft`) expose the cached
-full-grid transfer functions to callers that hold mask spectra already —
-the simulator's shared-forward corner sweep and the pixel-ILT gradient
-loop.
+full-grid transfer functions to callers that hold full mask spectra —
+the dense full-grid fallback and the pixel-ILT gradient loop.
 
 Spatial kernels still exist, but only as a *derived* artifact: the
 canonical square-lattice materialization (:meth:`spatial_kernels`) feeds
@@ -200,21 +214,55 @@ class GridBandSpectra:
         return len(self.weights)
 
 
+def band_rfft2(masks, columns: int, backend: ArrayBackend):
+    """Band-pruned real-input forward transform of a ``(B, H, W)`` stack.
+
+    ``rfft`` along W, keep columns ``0 .. columns - 1``, then ``fft``
+    along H on those columns only: the result equals
+    ``rfft2(masks)[..., :columns]`` (bit for bit on the numpy backend,
+    whose ``rfft2`` runs the same two passes) at a fraction of the cost
+    when ``columns`` is the pupil band's ``b1 + 1``.
+    """
+    half = backend.rfft(masks, axis=-1)[..., :columns]
+    return backend.fft(half, axis=-2)
+
+
+def shared_mask_spectra(stack, kernel_sets):
+    """One forward transform of a validated ``(B, H, W)`` mask stack that
+    every set in ``kernel_sets`` can read.
+
+    When each set is frequency-native with a compact band on this grid,
+    this is :func:`band_rfft2` pruned to the widest band's ``b1 + 1``
+    columns (the Hermitian gather reads nothing else); otherwise it is
+    the full complex ``fft2`` the dense fallback needs.
+    """
+    shape = (int(stack.shape[-2]), int(stack.shape[-1]))
+    backend = kernel_sets[0].fft
+    if all(kset.is_native for kset in kernel_sets):
+        bands = [kset.band_spectra(shape) for kset in kernel_sets]
+        if all(band.compact for band in bands):
+            columns = max(band.band[1] for band in bands) + 1
+            return band_rfft2(stack, columns, backend)
+    return backend.fft2(stack, axes=(-2, -1))
+
+
 def gather_band_rfft(
     mask_rffts,
     band: GridBandSpectra,
     backend: ArrayBackend | None = None,
 ):
-    """Pupil-band gather from half-width ``rfft2`` spectra onto the subgrid.
+    """Pupil-band gather from half-width spectra onto the subgrid.
 
     A real mask's spectrum is Hermitian, ``F[r, c] = conj(F[(-r) % H,
     (-c) % W])``, so the negative-column half of the pupil band is
-    recovered from the stored positive columns with flipped rows.  Values
-    match the full-spectrum gather to FFT round-off (the rfft sums in a
-    different order — not bit-for-bit).  Public module-level entry point:
-    the surrogate's feature pipeline shares it with the sparse EPE path.
-    Runs on whatever arrays ``backend`` holds — spectra on a device stay
-    on that device (default: host numpy, unchanged behavior).
+    recovered from the stored positive columns with flipped rows.  Only
+    columns ``0 .. b1`` are read, so ``mask_rffts`` may be full ``fft2``
+    spectra, half-width ``rfft2`` spectra or :func:`band_rfft2`'s pruned
+    ones — anything with all H rows and at least ``b1 + 1`` columns.
+    Public module-level entry point: the surrogate's feature pipeline
+    shares it with the sparse EPE path.  Runs on whatever arrays
+    ``backend`` holds — spectra on a device stay on that device
+    (default: host numpy).
     """
     backend = backend or _host_backend()
     idx = backend.index
@@ -758,51 +806,67 @@ class OpticalKernelSet:
     def convolve_intensity_batch(self, masks: np.ndarray) -> np.ndarray:
         """Aerial intensities of a ``(B, H, W)`` mask stack (unified engine).
 
-        One vectorized forward FFT over the batch axis feeds the
-        band-limited subgrid engine (exact: the spectra carry no energy
-        outside the gathered band).  Per-mask results are bit-for-bit
-        independent of the batch size.
+        One forward transform over the batch axis (band-pruned on the
+        compact band path, see :func:`shared_mask_spectra`) feeds the
+        band-limited subgrid engine, which is exact: the spectra carry no
+        energy outside the gathered band.  Per-mask results are
+        bit-for-bit independent of the batch size.
         """
         stack = self.validate_mask_batch(masks)
-        mask_ffts = self.fft.fft2(stack, axes=(-2, -1))
-        return self.intensity_from_mask_ffts(mask_ffts)
+        spectra = shared_mask_spectra(stack, (self,))
+        return self.intensity_from_mask_ffts(spectra, tuple(stack.shape[1:]))
 
-    def intensity_from_mask_ffts(self, mask_ffts: np.ndarray) -> np.ndarray:
-        """Intensities from precomputed ``(B, H, W)`` mask spectra.
+    def intensity_from_mask_ffts(
+        self, mask_ffts, shape: tuple[int, int] | None = None
+    ) -> np.ndarray:
+        """Intensities from precomputed mask spectra.
 
-        Lets callers share one forward FFT across several kernel sets
-        (the simulator's focus + defocus corner sweep).  Runs the compact
-        pupil-band subgrid engine whenever it saves work; otherwise the
-        full-grid per-kernel loop (always for legacy spatial sets — a
-        cropped kernel is not band-limited, so only the full-grid path is
-        exact for them).
+        Lets callers share one forward transform across several kernel
+        sets (the simulator's focus + defocus corner sweep).
+        ``mask_ffts`` holds all H rows of each mask's spectrum and either
+        every column (``fft2``, the default when ``shape`` is omitted) or,
+        with ``shape=(H, W)`` given, at least the pupil band's ``b1 + 1``
+        leading columns (``rfft2`` or :func:`band_rfft2` output).  Runs
+        the compact pupil-band subgrid engine whenever it saves work;
+        otherwise the full-grid per-kernel loop, which needs full
+        spectra (always the case for legacy spatial sets — a cropped
+        kernel is not band-limited, so only the full-grid path is exact
+        for them).
         """
         if mask_ffts.ndim != 3:
             raise LithoError(
                 f"mask spectra must be 3-D (B, H, W), got shape {mask_ffts.shape}"
             )
-        shape = tuple(mask_ffts.shape[-2:])
+        if shape is None:
+            shape = tuple(mask_ffts.shape[-2:])
+        shape = (int(shape[0]), int(shape[1]))
         self._validate_grid(shape)
+        if mask_ffts.shape[-2] != shape[0] or mask_ffts.shape[-1] > shape[1]:
+            raise LithoError(
+                f"mask spectra {tuple(mask_ffts.shape[-2:])} do not match "
+                f"grid {shape}"
+            )
         if self.is_native:
             band = self.band_spectra(shape)
             if band.compact:
+                self._check_band_columns(mask_ffts, band)
                 return self._band_intensity(mask_ffts, band)
+        if mask_ffts.shape[-1] != shape[1]:
+            raise LithoError(
+                f"the dense full-grid path on {shape} needs full (B, H, W) "
+                f"spectra, got {mask_ffts.shape[-1]} columns"
+            )
         return self._full_grid_intensity(mask_ffts, shape)
 
-    def _gather_band(
-        self, mask_ffts, band: GridBandSpectra
-    ):
-        """Pupil-band mask coefficients scattered onto the subgrid."""
-        backend = self.fft
-        idx = backend.index
-        m0, m1 = band.subgrid
-        sub = backend.zeros(
-            (mask_ffts.shape[0], m0, m1), backend.complex128
-        )
-        sub[:, idx(band.rows_dst[:, None]), idx(band.cols_dst[None, :])] = (
-            mask_ffts[:, idx(band.rows_src[:, None]), idx(band.cols_src[None, :])]
-        )
-        return sub
+    @staticmethod
+    def _check_band_columns(mask_ffts, band: GridBandSpectra) -> None:
+        needed = band.band[1] + 1
+        if mask_ffts.shape[-1] < needed:
+            raise LithoError(
+                f"mask spectra hold {mask_ffts.shape[-1]} columns; the "
+                f"pupil band of the {band.shape} grid needs at least "
+                f"{needed} (b1 + 1)"
+            )
 
     def _device_band_arrays(self, band: GridBandSpectra):
         """``(weights, sub_spectra)`` resident where the backend computes.
@@ -835,35 +899,26 @@ class OpticalKernelSet:
                 self._fft_cache.popitem(last=False)
         return pair
 
-    def _gather_band_rfft(
-        self, mask_rffts, band: GridBandSpectra
-    ):
-        """Band gather from a half-width ``rfft2`` spectrum.
-
-        A real mask's spectrum is Hermitian, ``F[r, c] = conj(F[(-r) % H,
-        (-c) % W])``, so the negative-column half of the pupil band is
-        recovered from the stored positive columns with flipped rows.
-        Values match :meth:`_gather_band` on the full spectrum to FFT
-        round-off (the rfft sums in a different order — not bit-for-bit).
-        Delegates to the module-level :func:`gather_band_rfft`.
-        """
-        return gather_band_rfft(mask_rffts, band, self.fft)
-
     def _subgrid_intensity(
         self, sub, band: GridBandSpectra
     ):
         """Per-kernel subgrid convolution summed into one intensity.
 
-        Runs wherever ``sub`` lives: host numpy under numpy/scipy,
-        on-device under torch (with device-resident kernel spectra from
+        The K coherent fields come from one inverse transform batched
+        over the kernel axis (at subgrid sizes a transform call costs
+        more than its arithmetic); their powers are accumulated in kernel
+        order, so the sum is bit-for-bit the per-kernel loop's.  Runs
+        wherever ``sub`` lives: host numpy under numpy/scipy, on-device
+        under torch (with device-resident kernel spectra from
         :meth:`_device_band_arrays`).
         """
         fft = self.fft
         weights, sub_spectra = self._device_band_arrays(band)
+        fields = fft.ifft2(sub[:, None] * sub_spectra[None], axes=(-2, -1))
+        power = fields.real**2 + fields.imag**2
         intensity = fft.zeros(sub.shape, fft.float64)
-        for weight, kernel_sub in zip(weights, sub_spectra):
-            field_k = fft.ifft2(sub * kernel_sub, axes=(-2, -1))
-            intensity += weight * (field_k.real**2 + field_k.imag**2)
+        for k in range(len(weights)):
+            intensity += weights[k] * power[:, k]
         return intensity
 
     def _band_intensity(
@@ -871,27 +926,30 @@ class OpticalKernelSet:
     ) -> np.ndarray:
         """Exact subgrid engine: gather band, convolve, resample intensity.
 
-        The gather, per-kernel convolution and zero-padded resample all
-        run backend-native; the dense full-grid aerial is the
-        host/device boundary, so the returned array is always host
-        numpy.
+        The resample is a Hermitian pruned inverse: the subgrid
+        intensity's ``rfft2`` supplies the ``2 b1 + 1`` non-negative
+        columns of the intensity band, an ``ifft`` along H runs on those
+        columns only, and an ``irfft`` along W (zero-padded to ``n=W``)
+        finishes the full-grid aerial — the same linear map as a
+        zero-padded full-grid ``ifft2``, without transforming the empty
+        columns.  Everything runs backend-native; the dense aerial is the
+        host/device boundary, so the returned array is always host numpy.
         """
         rows, cols = band.shape
         m0, m1 = band.subgrid
         batch = mask_ffts.shape[0]
         fft = self.fft
         idx = fft.index
-        sub = self._gather_band(mask_ffts, band)
+        sub = gather_band_rfft(mask_ffts, band, fft)
         intensity = self._subgrid_intensity(sub, band)
-        # Exact zero-padded FFT resampling of the (band-limited) intensity.
-        spectrum = fft.fft2(intensity, axes=(-2, -1))
+        spectrum = fft.rfft2(intensity, axes=(-2, -1))
         upscale = (rows * cols) / (m0 * m1)
-        full = fft.zeros((batch, rows, cols), fft.complex128)
-        full[:, idx(band.up_rows_dst[:, None]), idx(band.up_cols_dst[None, :])] = (
-            spectrum[:, idx(band.up_rows_src[:, None]), idx(band.up_cols_src[None, :])]
-            * upscale
+        width = 2 * band.band[1] + 1
+        half = fft.zeros((batch, rows, width), fft.complex128)
+        half[:, idx(band.up_rows_dst), :] = (
+            spectrum[:, idx(band.up_rows_src), :width] * upscale
         )
-        return fft.to_host(fft.ifft2(full, axes=(-2, -1)).real)
+        return fft.to_host(fft.irfft(fft.ifft(half, axis=-2), n=cols, axis=-1))
 
     def _sparse_band_values(
         self,
@@ -917,13 +975,12 @@ class OpticalKernelSet:
 
         Returns ``(B, S)`` values mathematically identical to
         ``intensity_from_mask_ffts(mask_ffts)[:, rows, cols]`` (<= 1e-12
-        absolute — the exact zero-padded FFT resample and the direct DFT
-        gather are the same linear map evaluated in different summation
-        orders).  On the compact band path the full-grid inverse
-        transform never happens: cost drops from O(B H W log(H W)) to one
-        ``(B, 2F) x (2F, S)`` GEMM after the subgrid convolution.
-        Non-compact and legacy-spatial sets fall back to the dense
-        intensity plus a fancy-index gather, which is exact by
+        absolute — the pruned resample and the direct DFT gather are the
+        same linear map evaluated in different summation orders).  On the
+        compact band path the full-grid inverse transform never happens:
+        cost drops to one ``(B, 2F) x (2F, S)`` GEMM after the subgrid
+        convolution.  Non-compact and legacy-spatial sets fall back to
+        the dense intensity plus a fancy-index gather, which is exact by
         construction.
         """
         if mask_ffts.ndim != 3:
@@ -936,9 +993,43 @@ class OpticalKernelSet:
         if self.is_native:
             band = self.band_spectra(shape)
             if band.compact:
-                sub = self._gather_band(mask_ffts, band)
+                sub = gather_band_rfft(mask_ffts, band, self.fft)
                 return self._sparse_band_values(sub, band, rows, cols)
         return self._full_grid_intensity(mask_ffts, shape)[:, rows, cols]
+
+    def _half_spectra_band(
+        self, mask_rffts, shape: tuple[int, int], entry: str
+    ) -> GridBandSpectra:
+        """Validate half-width spectra for an rfft entry point; returns
+        the compact band they feed."""
+        if mask_rffts.ndim != 3:
+            raise LithoError(
+                "mask rfft spectra must be 3-D (B, H, <= W//2+1), got shape "
+                f"{mask_rffts.shape}"
+            )
+        rows, cols = shape
+        if mask_rffts.shape[-2] != rows or mask_rffts.shape[-1] > cols // 2 + 1:
+            raise LithoError(
+                f"rfft spectra {tuple(mask_rffts.shape[-2:])} do not match "
+                f"grid {shape} (expected {rows} rows and at most "
+                f"{cols // 2 + 1} columns)"
+            )
+        self._validate_grid(shape)
+        if not self.is_native:
+            raise LithoError(
+                f"{entry} needs a frequency-native kernel set; legacy "
+                "spatial sets must gather from the dense path "
+                "(intensity_at_pixels)"
+            )
+        band = self.band_spectra(shape)
+        if not band.compact:
+            raise LithoError(
+                f"{entry} needs a compact pupil band; the {shape} grid's "
+                "band covers it — use intensity_at_pixels on full spectra "
+                "instead"
+            )
+        self._check_band_columns(mask_rffts, band)
+        return band
 
     def sparse_intensity_from_rfft(
         self,
@@ -950,41 +1041,20 @@ class OpticalKernelSet:
         """Sparse intensity from half-width real-input spectra.
 
         The fast path of the sparse EPE pipeline: callers forward-
-        transform their real mask stack once with :meth:`FFTBackend.
-        rfft2` (about half the cost of the full ``fft2``) and share the
+        transform their real mask stack once — :func:`band_rfft2` to the
+        band's ``b1 + 1`` columns, or a full ``rfft2`` — and share the
         result across the focus and defocus kernel sets; the pupil band
         is reconstructed by Hermitian symmetry.  Only available on the
         compact band path — the dense fallback needs full spectra, so
         callers without a compact band should compute ``fft2`` and use
         :meth:`intensity_at_pixels` instead.
         """
-        if mask_rffts.ndim != 3:
-            raise LithoError(
-                "mask rfft spectra must be 3-D (B, H, W//2+1), got shape "
-                f"{mask_rffts.shape}"
-            )
         shape = (int(shape[0]), int(shape[1]))
-        if mask_rffts.shape[-2:] != (shape[0], shape[1] // 2 + 1):
-            raise LithoError(
-                f"rfft spectra {mask_rffts.shape[-2:]} do not match grid "
-                f"{shape} (expected ({shape[0]}, {shape[1] // 2 + 1}))"
-            )
-        self._validate_grid(shape)
+        band = self._half_spectra_band(
+            mask_rffts, shape, "sparse_intensity_from_rfft"
+        )
         rows, cols = _validate_pixel_set(shape, rows, cols)
-        if not self.is_native:
-            raise LithoError(
-                "sparse_intensity_from_rfft needs a frequency-native "
-                "kernel set; legacy spatial sets must gather from the "
-                "dense path (intensity_at_pixels)"
-            )
-        band = self.band_spectra(shape)
-        if not band.compact:
-            raise LithoError(
-                "sparse_intensity_from_rfft needs a compact pupil band; "
-                f"the {shape} grid's band covers it — use "
-                "intensity_at_pixels on full spectra instead"
-            )
-        sub = self._gather_band_rfft(mask_rffts, band)
+        sub = gather_band_rfft(mask_rffts, band, self.fft)
         return self._sparse_band_values(sub, band, rows, cols)
 
     def subgrid_intensity_from_rfft(
@@ -997,33 +1067,14 @@ class OpticalKernelSet:
         representation of the aerial image — the surrogate trainer uses it
         as ground-truth labels, and :func:`band_values_at_pixels` lifts
         either these or surrogate predictions to full-grid pixels.
-        Requires a frequency-native compact-band set, like
-        :meth:`sparse_intensity_from_rfft`.
+        Takes the same spectra as :meth:`sparse_intensity_from_rfft` and
+        likewise requires a frequency-native compact-band set.
         """
-        if mask_rffts.ndim != 3:
-            raise LithoError(
-                "mask rfft spectra must be 3-D (B, H, W//2+1), got shape "
-                f"{mask_rffts.shape}"
-            )
         shape = (int(shape[0]), int(shape[1]))
-        if mask_rffts.shape[-2:] != (shape[0], shape[1] // 2 + 1):
-            raise LithoError(
-                f"rfft spectra {mask_rffts.shape[-2:]} do not match grid "
-                f"{shape} (expected ({shape[0]}, {shape[1] // 2 + 1}))"
-            )
-        self._validate_grid(shape)
-        if not self.is_native:
-            raise LithoError(
-                "subgrid_intensity_from_rfft needs a frequency-native "
-                "kernel set"
-            )
-        band = self.band_spectra(shape)
-        if not band.compact:
-            raise LithoError(
-                "subgrid_intensity_from_rfft needs a compact pupil band; "
-                f"the {shape} grid's band covers it"
-            )
-        sub = self._gather_band_rfft(mask_rffts, band)
+        band = self._half_spectra_band(
+            mask_rffts, shape, "subgrid_intensity_from_rfft"
+        )
+        sub = gather_band_rfft(mask_rffts, band, self.fft)
         return self.fft.to_host(self._subgrid_intensity(sub, band))
 
     def _full_grid_intensity(

@@ -23,21 +23,36 @@ engine with two entry points:
   ``tests/test_litho_band.py``).
 
 * :meth:`LithographySimulator.simulate_batch` — the production engine.
-  It stacks B same-shape masks into a ``(B, H, W)`` array, computes a
-  single vectorized forward FFT, *shares those mask spectra across the
-  focus and defocus kernel sets* (all three process corners come from
-  one forward transform), and runs the per-kernel inverse FFTs on the
-  compact pupil-band subgrid with one exact zero-padded FFT resample of
-  the intensity per corner.  Results match :meth:`simulate_mask` to FFT
-  round-off (far below the 1e-9 golden tolerance) and are bit-for-bit
-  independent of the batch size, at what used to be screening speed —
-  formerly-"spectral" throughput is now legal for reported EPE/PV-band
-  metrology.  ``benchmarks/bench_batch_litho.py`` gates >= 3x over the
+  It stacks B same-shape masks into a ``(B, H, W)`` array and runs one
+  band-pruned real-input forward transform (``rfft`` along W, keep the
+  pupil band's ``b1 + 1`` columns, ``fft`` along H on those columns
+  only), *shared across the focus and defocus kernel sets* (all three
+  process corners come from one forward transform).  Each kernel set
+  then gathers its band by Hermitian symmetry, runs its K coherent
+  fields as one transform batched over the kernel axis on the compact
+  subgrid, and resamples the intensity with a Hermitian pruned inverse
+  (``rfft2`` of the subgrid intensity, ``ifft`` along H on the
+  ``2 b1 + 1`` non-negative band columns, ``irfft`` along W).  Results
+  match :meth:`simulate_mask` to ~1e-15 absolute intensity (far below
+  the 1e-9 golden tolerance) and are bit-for-bit independent of the
+  batch size.  ``benchmarks/bench_batch_litho.py`` gates >= 3x over the
   per-mask reference loop at B=8.
 
-The old ``mode="spectral"`` screening split is retired: ``mode=`` is
-accepted as a deprecated no-op (every call is exact now) and warns;
-unknown modes still raise.
+  Transforms per mask on a 500 x 500 via grid (pupil band ``b = 13``,
+  subgrid 54 x 54, K kernels per corner), before and after the pruning:
+
+  ============  =====================================  ======================================
+  stage         full complex transforms (before)       band-pruned transforms (now)
+  ============  =====================================  ======================================
+  forward       ``fft2`` 500 x 500 (500 + 500 lines)   ``rfft`` 500 rows + ``fft`` 14 columns
+  convolution   K x ``ifft2`` 54 x 54 per corner       one ``(K, 54, 54)`` ``ifft2`` per corner
+  resample      ``fft2`` 54 x 54 + ``ifft2`` 500 x     ``rfft2`` 54 x 54 + ``ifft`` 27 columns
+                500 per corner                         + ``irfft`` 500 rows per corner
+  ============  =====================================  ======================================
+
+  The full complex ``fft2`` stays only where it is the one exact path:
+  grids whose pupil band is not compact, legacy spatial kernel sets,
+  and the :meth:`simulate_mask` reference.
 
 Array/device backend
 --------------------
@@ -102,27 +117,14 @@ from repro.geometry.mask_edit import MaskState
 from repro.geometry.polygon import Polygon
 from repro.geometry.raster import Grid, rasterize
 from repro.backend import resolve_backend
-from repro.litho.kernels import OpticalKernelSet, build_kernel_set
+from repro.litho.kernels import (
+    OpticalKernelSet,
+    build_kernel_set,
+    shared_mask_spectra,
+)
 from repro.litho.process import ProcessCorner, standard_corners
 from repro.litho.resist import printed_image
 from repro.litho.source import SourceSpec
-
-
-def warn_deprecated_mode(mode: str | None) -> None:
-    """Thin shim for retired ``mode=`` arguments: warn, never change math."""
-    if mode is None:
-        return
-    if mode not in ("exact", "spectral"):
-        raise LithoError(
-            f"unknown simulation mode {mode!r}; the unified engine accepts "
-            "only the deprecated values 'exact' and 'spectral'"
-        )
-    warnings.warn(
-        "simulation mode= is deprecated and ignored: the unified "
-        "band-limited engine is always exact",
-        DeprecationWarning,
-        stacklevel=3,
-    )
 
 
 @dataclass(frozen=True)
@@ -353,25 +355,22 @@ class LithographySimulator:
         self,
         masks: Sequence[np.ndarray] | np.ndarray,
         grid: Grid,
-        mode: str | None = None,
     ) -> list[LithoResult]:
         """Full corner sweep for a stack of same-shape rasterized masks.
 
         ``masks`` is a ``(B, H, W)`` array or a sequence of B ``(H, W)``
-        masks on ``grid``.  One shared forward FFT feeds both the focus
-        and defocus kernel sets, so all three process corners come from a
-        single batched transform pipeline running the exact pupil-band
-        subgrid engine.  Results match :meth:`simulate_mask` to FFT
-        round-off and are bit-for-bit independent of the batch size.
-
-        ``mode`` is deprecated and ignored (the engine is always exact);
-        passing ``"exact"`` or ``"spectral"`` warns, anything else raises.
+        masks on ``grid``.  One shared band-pruned forward transform
+        (:func:`~repro.litho.kernels.shared_mask_spectra`) feeds both the
+        focus and defocus kernel sets, so all three process corners come
+        from a single batched transform pipeline running the exact
+        pupil-band subgrid engine.  Results match :meth:`simulate_mask`
+        to FFT round-off and are bit-for-bit independent of the batch
+        size.
 
         Under a device backend ``masks`` may already be a device tensor
         (``(B, H, W)``); host input is moved to the device once, and the
         returned aerials are host numpy either way.
         """
-        warn_deprecated_mode(mode)
         if hasattr(masks, "ndim"):
             stack = masks
         else:
@@ -393,9 +392,11 @@ class LithographySimulator:
                 f"mask batch shape {stack.shape[1:]} does not match grid "
                 f"{grid.shape}"
             )
-        mask_ffts = focus_set.fft.fft2(stack, axes=(-2, -1))
-        aerial_focus = focus_set.intensity_from_mask_ffts(mask_ffts)
-        aerial_defocus = defocus_set.intensity_from_mask_ffts(mask_ffts)
+        spectra = shared_mask_spectra(stack, (focus_set, defocus_set))
+        aerial_focus = focus_set.intensity_from_mask_ffts(spectra, grid.shape)
+        aerial_defocus = defocus_set.intensity_from_mask_ffts(
+            spectra, grid.shape
+        )
         threshold = self.config.threshold
         corners = (nominal, inner, outer)
         results = []
@@ -433,7 +434,9 @@ class LithographySimulator:
 
         Neither ``printed_image`` nor any full-grid inverse FFT is
         constructed: the stack is forward-transformed once with the
-        half-width real-input FFT, both kernel sets gather their pupil
+        band-pruned real-input transform of :meth:`simulate_batch`
+        (bit for bit the leading columns of ``rfft2`` on the numpy
+        backend), both kernel sets gather their pupil
         bands from it by Hermitian symmetry, and each plan's pixel set
         is evaluated by the direct band-spectrum gather
         (:meth:`~repro.litho.kernels.OpticalKernelSet.
@@ -499,16 +502,13 @@ class LithographySimulator:
             kset.is_native and kset.band_spectra(shape).compact
             for kset in kernel_sets
         )
+        spectra = shared_mask_spectra(stack, kernel_sets)
         if compact:
-            spectra = focus_set.fft.rfft2(stack, axes=(-2, -1))
-
             def evaluate(kset, indices, plan):
                 return kset.sparse_intensity_from_rfft(
                     spectra[indices], shape, plan.pixel_rows, plan.pixel_cols
                 )
         else:
-            spectra = focus_set.fft.fft2(stack, axes=(-2, -1))
-
             def evaluate(kset, indices, plan):
                 return kset.intensity_at_pixels(
                     spectra[indices], plan.pixel_rows, plan.pixel_cols
@@ -540,7 +540,7 @@ class LithographySimulator:
         """Rasterize + simulate through the batched engine (B = 1).
 
         Matches :meth:`simulate_mask` to FFT round-off while all three
-        corners share one forward FFT on the compact band subgrid — this
+        corners share one band-pruned forward transform — this
         is the per-iteration corner sweep used by every OPC engine via
         :meth:`simulate_state`.
         """

@@ -404,6 +404,19 @@ class TestAdapterSemantics:
         assert np.array_equal(
             backend.rfft2(stack), np.fft.rfft2(stack, axes=(-2, -1))
         )
+        half = np.fft.rfft(stack, axis=-1)
+        assert np.array_equal(backend.rfft(stack), half)
+        assert np.array_equal(
+            backend.fft(half, axis=-2), np.fft.fft(half, axis=-2)
+        )
+        assert np.array_equal(
+            backend.ifft(half, axis=-2), np.fft.ifft(half, axis=-2)
+        )
+        # Short inputs zero-pad to n, as the pruned resample relies on.
+        assert np.array_equal(
+            backend.irfft(half[..., :3], n=8),
+            np.fft.irfft(half[..., :3], n=8),
+        )
         assert np.array_equal(
             backend.concat([stack, stack], axis=0),
             np.concatenate([stack, stack], axis=0),

@@ -1,6 +1,7 @@
 """Frequency-native engine tests: per-grid TCC lattices, band-limited
 SOCS spectra, and the exactness acceptance of the unified subgrid engine
-(max |dI| <= 1e-9 against the retained spatial reference path)."""
+(max |dI| <= 1e-9 against the retained spatial reference path; sparse
+values from band-pruned spectra <= 1e-12 against the dense aerials)."""
 
 import numpy as np
 import pytest
@@ -15,10 +16,23 @@ from repro.litho import (
     scipy_fft_available,
     socs_spectra,
 )
+from repro.litho.kernels import band_rfft2
 from repro.litho.source import SourceSpec
 from repro.litho.tcc import build_tcc, elliptic_lattice
 
 MAX_ABS_ERROR = 1e-9
+SPARSE_ABS_ERROR = 1e-12
+
+EXACTNESS_GRIDS = [
+    Grid(0, 0, 8.0, 160, 160),
+    Grid(0, 0, 8.0, 250, 250),
+    Grid(0, 0, 8.0, 176, 144),
+    Grid(0, 0, 4.0, 320, 320),
+    Grid(0, 0, 8.0, 150, 165),
+]
+EXACTNESS_IDS = [
+    "square-160", "square-250", "non-square", "production-4nm", "odd-width",
+]
 
 
 class TestGridLattice:
@@ -90,16 +104,7 @@ class TestExactness:
     """Acceptance: the unified engine matches the retained spatial
     reference to <= 1e-9 max absolute intensity error."""
 
-    @pytest.mark.parametrize(
-        "grid",
-        [
-            Grid(0, 0, 8.0, 160, 160),
-            Grid(0, 0, 8.0, 250, 250),
-            Grid(0, 0, 8.0, 176, 144),
-            Grid(0, 0, 4.0, 320, 320),
-        ],
-        ids=["square-160", "square-250", "non-square", "production-4nm"],
-    )
+    @pytest.mark.parametrize("grid", EXACTNESS_GRIDS, ids=EXACTNESS_IDS)
     def test_band_engine_matches_reference(self, simulator, grid):
         masks = pattern_masks(grid)
         batched = simulator.simulate_batch(np.stack(masks), grid)
@@ -133,6 +138,62 @@ class TestExactness:
             assert (
                 np.abs(result.aerial - reference.aerial).max() < MAX_ABS_ERROR
             )
+
+    @pytest.mark.parametrize("batch_size", [1, 3, 8])
+    @pytest.mark.parametrize("grid", EXACTNESS_GRIDS, ids=EXACTNESS_IDS)
+    def test_sparse_from_pruned_spectra_matches_dense(
+        self, simulator, grid, batch_size
+    ):
+        """The sparse gather fed by band-pruned spectra equals the dense
+        aerials of ``simulate_batch`` gathered at the same pixels, for
+        both focus corners."""
+        masks = np.stack(pattern_masks(grid, count=batch_size))
+        dense = simulator.simulate_batch(masks, grid)
+        rng = np.random.default_rng(batch_size)
+        rows = rng.integers(0, grid.rows, 300)
+        cols = rng.integers(0, grid.cols, 300)
+        for defocus, attr in ((0.0, "aerial"), (None, "aerial_defocus")):
+            if defocus is None:
+                defocus = simulator.corners()[1].defocus_nm
+            kset = simulator.kernel_set(defocus)
+            band = kset.band_spectra(grid.shape)
+            spectra = band_rfft2(masks, band.band[1] + 1, kset.fft)
+            sparse = kset.sparse_intensity_from_rfft(
+                spectra, grid.shape, rows, cols
+            )
+            gathered = np.stack([getattr(r, attr)[rows, cols] for r in dense])
+            assert np.abs(sparse - gathered).max() <= SPARSE_ABS_ERROR
+
+    @pytest.mark.parametrize("grid", EXACTNESS_GRIDS, ids=EXACTNESS_IDS)
+    def test_pruned_forward_is_rfft2_prefix(self, simulator, grid):
+        """On the numpy backend the pruned forward runs rfft2's own two
+        passes on fewer columns, so it is a bit-for-bit prefix."""
+        masks = np.stack(pattern_masks(grid))
+        kset = simulator.kernel_set(0.0)
+        columns = kset.band_spectra(grid.shape).band[1] + 1
+        assert np.array_equal(
+            band_rfft2(masks, columns, kset.fft),
+            np.fft.rfft2(masks, axes=(-2, -1))[..., :columns],
+        )
+
+    def test_spectra_narrower_than_band_rejected(self, simulator):
+        grid = Grid(0, 0, 8.0, 160, 160)
+        kset = simulator.kernel_set(0.0)
+        b1 = kset.band_spectra(grid.shape).band[1]
+        masks = np.stack(pattern_masks(grid, count=1))
+        narrow = band_rfft2(masks, b1, kset.fft)
+        rows, cols = np.array([0, 5]), np.array([3, 7])
+        with pytest.raises(LithoError, match=r"needs at least \d+ \(b1 \+ 1\)"):
+            kset.sparse_intensity_from_rfft(narrow, grid.shape, rows, cols)
+        with pytest.raises(LithoError, match=r"b1 \+ 1"):
+            kset.subgrid_intensity_from_rfft(narrow, grid.shape)
+        with pytest.raises(LithoError, match=r"b1 \+ 1"):
+            kset.intensity_from_mask_ffts(narrow, grid.shape)
+        # b1 + 1 columns exactly is enough.
+        wide_enough = band_rfft2(masks, b1 + 1, kset.fft)
+        assert kset.intensity_from_mask_ffts(wide_enough, grid.shape).shape == (
+            1, *grid.shape
+        )
 
     def test_open_frame_images_to_unity(self, simulator):
         grid = Grid(0, 0, 8.0, 160, 160)

@@ -224,13 +224,15 @@ class TestSimulatorErrors:
 
     def test_bad_mode(self, sim):
         grid = Grid(0, 0, 8.0, 96, 96)
-        with pytest.raises(LithoError, match="mode"):
+        with pytest.raises(TypeError, match="mode"):
             sim.simulate_batch(np.ones((1, 96, 96)), grid, mode="turbo")
 
-    def test_deprecated_mode_warns(self, sim):
+    def test_retired_mode_values_rejected(self, sim):
+        """The retired ``mode=`` no-op is gone: its old values are now an
+        unknown keyword like any other."""
         grid = Grid(0, 0, 8.0, 96, 96)
         for mode in ("exact", "spectral"):
-            with pytest.warns(DeprecationWarning, match="deprecated"):
+            with pytest.raises(TypeError, match="mode"):
                 sim.simulate_batch(np.ones((1, 96, 96)), grid, mode=mode)
 
     def test_empty_batch(self, sim):
@@ -284,11 +286,15 @@ class TestEnvBatchErrors:
         with pytest.raises(RLError, match="at least one"):
             env.reset_population([])
 
-    def test_deprecated_env_mode_warns(self, env):
+    def test_env_mode_keyword_removed(self, env):
         state = env.reset()
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            env.step_batch([state], np.zeros((1, env.n_segments), dtype=int),
-                           mode="spectral")
+        actions = np.zeros((1, env.n_segments), dtype=int)
+        with pytest.raises(TypeError, match="mode"):
+            env.step_batch([state], actions, mode="spectral")
+        with pytest.raises(TypeError, match="mode"):
+            env.evaluate_batch([state.mask], mode="spectral")
+        with pytest.raises(TypeError, match="mode"):
+            env.score_moves(state, actions, mode="spectral")
 
     def test_score_moves_rejects_1d(self, env):
         state = env.reset()

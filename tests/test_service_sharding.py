@@ -208,8 +208,8 @@ class TestShardedFailures:
         naming the in-flight clip — never hang the queue."""
         import dataclasses
 
-        # Round-robin puts the first clip on worker 0; name it so the
-        # scripted engine os._exit()s that worker mid-suite.
+        # Name the first clip so whichever worker claims it os._exit()s
+        # mid-suite (the assertion does not depend on which one).
         boom = dataclasses.replace(mixed_suite[0], name="boom")
         suite = [boom, *mixed_suite[1:]]
         service = MaskOptService(simulator=sim)
@@ -239,8 +239,8 @@ class TestShardedFailures:
         pass would re-simulate the stale masks."""
         import dataclasses
 
-        # Worker 1 crashes on its first clip while worker 0's stub
-        # outcomes (with masks) stream into the scheduler.
+        # The worker that claims "boom" crashes while the other
+        # worker's stub outcomes (with masks) stream into the scheduler.
         boom = dataclasses.replace(mixed_suite[1], name="boom")
         suite = [mixed_suite[0], boom, *mixed_suite[2:]]
         service = MaskOptService(simulator=sim)
@@ -384,12 +384,16 @@ class TestShardingComponents:
 
     def test_worker_clamp_to_clip_count(self, sim, mixed_suite):
         """More workers than clips must not spawn idle processes (and
-        2 clips / 8 workers runs with 2)."""
-        service = MaskOptService(simulator=sim)
-        results = service.run_suite_sharded(
-            "mbopc", mixed_suite[:2], workers=8,
-            engine_overrides=OVERRIDES,
+        2 clips / 8 workers runs with 2).  Read from the pool itself:
+        which worker ran which clip is work stealing's choice, and one
+        fast worker may legitimately take both."""
+        spec = EngineSpec(
+            engine="mbopc", litho=sim.config,
+            overrides=tuple(sorted(OVERRIDES.items())),
         )
-        assert [r.clip_name for r in results] == ["sv1", "sv2"]
-        workers_used = {r.raw_outcome.worker for r in results}
-        assert workers_used == {0, 1}
+        runner = ShardedSuiteRunner(spec, workers=8)
+        outcomes = runner.run(mixed_suite[:2])
+        assert [o.clip_name for o in outcomes] == ["sv1", "sv2"]
+        stats = runner.last_pool_stats
+        assert stats["workers"] == 2
+        assert stats["tasks_completed"] == 2
