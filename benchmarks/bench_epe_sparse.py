@@ -14,16 +14,18 @@ reports:
 * ``dense``  — one ``simulate_batch`` (full-grid intensity at all three
   process corners, the pre-sparse verifier) + ``measure_epe_grouped``;
 * ``sparse`` — ``measure_stencil_plan`` per clip + one
-  ``simulate_epe_batch`` (half-width forward FFT, pupil-band subgrid
-  convolution, direct band-spectrum gather at the ~hundreds of pixels
-  the bilinear stencils touch) + ``measure_epe_grouped_sparse``.
+  ``simulate_epe_batch`` (band-pruned forward FFT, pupil-band subgrid
+  convolution, the dense resample's ``ifft`` along H on the band
+  columns only, then a direct sum over those columns at the ~hundreds
+  of pixels the bilinear stencils touch) + ``measure_epe_grouped_sparse``.
 
 Parity is gated unconditionally: every resolved per-point EPE offset
 must agree to <= 1e-9 nm (far inside the service's 1e-6 nm drift gate).
 The speedup gate (>= 3x by default) is enforced on hosts with >= 4
-cores — the GEMM-shaped gather is where multi-core BLAS pays off — and
-recorded (but not enforced) on smaller hosts.  A machine-readable
-record of every run goes to ``BENCH_epe_sparse.json`` at the repo root.
+cores and recorded (but not enforced) on smaller hosts.  Both pipelines
+are single-threaded transforms plus elementwise work, so the ratio does
+not depend on core count.  A machine-readable record of every run goes
+to ``BENCH_epe_sparse.json`` at the repo root.
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ DEFAULT_JSON_PATH = "BENCH_epe_sparse.json"
 
 
 def best_of(fn, repeats: int) -> float:
-    fn()  # warm caches (band spectra, stencil plans, phase matrices)
+    fn()  # warm caches (band spectra, stencil plans)
     best = float("inf")
     for _ in range(repeats):
         start = time.perf_counter()

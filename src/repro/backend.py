@@ -29,11 +29,12 @@ execution substrate behind one knob:
   device backend: device execution is an explicit opt-in.
 
 Backends are resolved once per ``(name, workers, device)`` triple and
-shared.  Cached transform-derived artifacts downstream (phase matrices,
-band DFT matrices, surrogate DFT GEMMs, legacy kernel spectra) key on
-:attr:`ArrayBackend.identity` / :attr:`ArrayBackend.array_identity`, so
-swapping the backend can never serve arrays resident on the wrong
-device or spectra computed by another library's transform.
+shared.  Cached transform-derived artifacts downstream (band DFT
+matrices, surrogate DFT GEMMs, device kernel spectra, legacy kernel
+spectra) key on :attr:`ArrayBackend.identity` /
+:attr:`ArrayBackend.array_identity`, so swapping the backend can never
+serve arrays resident on the wrong device or spectra computed by another
+library's transform.
 
 Dtype policy
 ------------
@@ -156,7 +157,7 @@ class ArrayBackend:
     def array_identity(self) -> tuple:
         """Identity of the array *representation* only.
 
-        Host-built constants (phase matrices, DFT matrices) are
+        Host-built constants (band DFT matrices) are
         identical under numpy and scipy — both hold numpy arrays — and
         only need re-materializing per array namespace + device.  Keying
         residency caches with this instead of :attr:`identity` lets the

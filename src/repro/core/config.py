@@ -9,7 +9,6 @@ reduced-but-faithful "repro" profile used by tests and benches.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, replace
 
 from repro.constants import (
@@ -106,11 +105,6 @@ class CamoConfig:
     metrology call, and folds the per-trajectory EMA-baseline advantages
     into one accumulated policy-gradient step — the population throughput
     path (see ``benchmarks/bench_train_throughput.py``)."""
-    rl_eval_mode: str = "exact"
-    """Deprecated and ignored: the unified band-limited litho engine is
-    always exact, so there is no screening mode to select.  ``"spectral"``
-    is still accepted (with a ``DeprecationWarning``) so existing configs
-    keep constructing; any other value raises."""
     rl_population_bias_offsets: tuple[float, ...] = ()
     """Deterministic per-trajectory initial-bias jitter for population
     training (satellite of the start-state diversification follow-up):
@@ -147,15 +141,6 @@ class CamoConfig:
         if self.rl_population < 1:
             raise ConfigError(
                 f"rl_population must be >= 1, got {self.rl_population}"
-            )
-        if self.rl_eval_mode not in ("exact", "spectral"):
-            raise ConfigError(f"unknown rl_eval_mode {self.rl_eval_mode!r}")
-        if self.rl_eval_mode != "exact":
-            warnings.warn(
-                "rl_eval_mode is deprecated and ignored: the unified "
-                "band-limited litho engine is always exact",
-                DeprecationWarning,
-                stacklevel=3,
             )
         if not all(
             isinstance(offset, (int, float)) for offset in

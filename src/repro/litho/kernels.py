@@ -39,6 +39,14 @@ Convolution entry points:
   absolute intensity) against the reference path.  The engine falls
   back to the full-grid per-kernel loop on full ``fft2`` spectra when
   the band covers the grid, and for legacy spatial sets.
+* :meth:`OpticalKernelSet.intensity_at_pixels` /
+  :meth:`~OpticalKernelSet.sparse_intensity_from_rfft` — the sparse
+  (verify and screening) path: steps 1–3, then the resample's ``ifft``
+  along H (:func:`_band_column_resample`, shared with the dense engine),
+  and instead of the ``irfft`` along W a direct Hermitian sum over the
+  ``2 b1 + 1`` band columns at each wanted pixel
+  (:func:`band_values_at_pixels`).  No per-pixel-set matrix is built or
+  cached.
 
 Lower-level helpers (:meth:`~OpticalKernelSet.kernel_spectra`,
 :meth:`~OpticalKernelSet.weights_for`,
@@ -86,73 +94,6 @@ identical to the pre-array-API behavior (bare ``np.*`` calls)."""
 
 def _host_backend() -> ArrayBackend:
     return resolve_backend(*_HOST_BACKEND_ARGS)
-
-
-_PHASE_CACHE: "OrderedDict[tuple, object]" = OrderedDict()
-_PHASE_CACHE_CAPACITY = 32
-_PHASE_LOCK = threading.Lock()
-"""Module-level LRU of sparse-gather phase matrices.  Keyed by (grid
-shape, band radii, pixel set, backend array identity), so every kernel
-set sharing one optics geometry — the simulator's focus and defocus sets
-in particular — reuses one matrix, and a device backend can never be
-served a host-resident matrix (or vice versa); guarded because the
-daemon's verifier thread races ``score_moves_epe`` callers."""
-
-
-def _sparse_phase_matrix(
-    shape: tuple[int, int],
-    band: GridBandSpectra,
-    rows: np.ndarray,
-    cols: np.ndarray,
-    backend: ArrayBackend,
-):
-    """Real-stacked inverse-DFT phase matrix for a fixed pixel set.
-
-    Evaluating the zero-padded inverse FFT of ``_band_intensity`` at S
-    chosen pixels is the direct DFT ``I[s] = Re(sum_f spec[f] *
-    exp(2j pi (k_r r_s / H + k_c c_s / W))) * upscale / (H W)`` over the
-    F = (4b0+1)(4b1+1) intensity-band frequencies.  The matrix is built
-    separably (row phases x column phases) and returned *real-stacked* as
-    ``(2F, S)`` — ``[[Re P], [-Im P]]`` — so the per-batch evaluation is
-    one real GEMM of the ``[Re spec, Im spec]`` stack against it (half
-    the FLOPs of the complex product, result already real).
-
-    The matrix itself is built host-side in float64 on every backend
-    (identical bits everywhere); what the cache stores is the
-    backend-native copy — the host array itself for numpy/scipy, a
-    device tensor for torch — keyed by the backend's array identity.
-    """
-    key = (
-        shape,
-        band.band,
-        rows.tobytes(),
-        cols.tobytes(),
-        backend.array_identity,
-    )
-    with _PHASE_LOCK:
-        cached = _PHASE_CACHE.get(key)
-        if cached is not None:
-            _PHASE_CACHE.move_to_end(key)
-            return cached
-    height, width = shape
-    m0, m1 = band.subgrid
-    k_rows = band.up_rows_dst.astype(np.float64)
-    k_cols = band.up_cols_dst.astype(np.float64)
-    phase_r = np.exp((2j * np.pi / height) * np.outer(k_rows, rows))
-    phase_c = np.exp((2j * np.pi / width) * np.outer(k_cols, cols))
-    # upscale / (H W) == 1 / (m0 m1): the resample gain times the
-    # inverse-transform normalization.
-    matrix = (phase_r[:, None, :] * phase_c[None, :, :]).reshape(
-        len(k_rows) * len(k_cols), len(rows)
-    ) / (m0 * m1)
-    stacked = backend.to_device(
-        np.concatenate([matrix.real, -matrix.imag], axis=0)
-    )
-    with _PHASE_LOCK:
-        _PHASE_CACHE[key] = stacked
-        while len(_PHASE_CACHE) > _PHASE_CACHE_CAPACITY:
-            _PHASE_CACHE.popitem(last=False)
-    return stacked
 
 
 def _validate_pixel_set(
@@ -205,9 +146,7 @@ class GridBandSpectra:
     rows_dst: np.ndarray
     cols_dst: np.ndarray
     up_rows_src: np.ndarray
-    up_cols_src: np.ndarray
     up_rows_dst: np.ndarray
-    up_cols_dst: np.ndarray
 
     @property
     def count(self) -> int:
@@ -315,7 +254,8 @@ _BAND_DFT_LOCK = threading.Lock()
 """LRU of the separable direct-DFT matrices used by
 :func:`band_limited_mask_subgrid_direct`; keyed per (grid shape, band,
 backend array identity) — matrices are built host-side and cached as
-backend-native copies, like the sparse phase matrices."""
+backend-native copies, so a device backend is never served a host
+array (or vice versa)."""
 
 
 def _band_dft_matrices(
@@ -402,6 +342,32 @@ def band_coeffs_to_subgrid(
     return backend.ifft2(sub, axes=(-2, -1)).real * ((m0 * m1) / (rows * cols))
 
 
+def _band_column_resample(
+    intensity_sub, band: GridBandSpectra, fft: ArrayBackend
+):
+    """First half of the Hermitian pruned resample, ``(B, H, 2 b1 + 1)``.
+
+    The ``rfft2`` of the ``(B, m0, m1)`` subgrid intensity supplies the
+    ``2 b1 + 1`` non-negative columns of the intensity band; scattered
+    onto the full height (scaled by the resample gain) and inverse-
+    transformed along H, they are the full-grid aerial's rows *before*
+    the final ``irfft`` along W.  The dense engine finishes every pixel
+    with that ``irfft``; :func:`band_values_at_pixels` finishes only the
+    pixels it needs.
+    """
+    rows, cols = band.shape
+    m0, m1 = band.subgrid
+    idx = fft.index
+    spectrum = fft.rfft2(intensity_sub, axes=(-2, -1))
+    upscale = (rows * cols) / (m0 * m1)
+    width = 2 * band.band[1] + 1
+    half = fft.zeros((intensity_sub.shape[0], rows, width), fft.complex128)
+    half[:, idx(band.up_rows_dst), :] = (
+        spectrum[:, idx(band.up_rows_src), :width] * upscale
+    )
+    return fft.ifft(half, axis=-2)
+
+
 def band_values_at_pixels(
     intensity_sub,
     band: GridBandSpectra,
@@ -412,23 +378,35 @@ def band_values_at_pixels(
     """Full-grid pixel values of a band-limited subgrid intensity.
 
     ``(B, m0, m1)`` subgrid intensities (exact or surrogate-predicted)
-    evaluate at S full-grid pixels via one forward FFT and one real GEMM
-    against the cached phase matrix — the same direct DFT gather the
-    sparse EPE path uses, factored out so surrogate predictions can ride
-    the identical resample map as exact metrology.  ``intensity_sub``
-    may be host or device resident; the FFT and GEMM run wherever the
-    backend's arrays live, and the resolved ``(B, S)`` values always
-    come back host-side (the metrology boundary).
+    evaluate at S full-grid pixels by running the dense engine's pruned
+    resample (:func:`_band_column_resample`) up to its last step, taking
+    each pixel's row, and replacing the ``irfft`` along W with a direct
+    sum over the ``2 b1 + 1`` band columns: weight 1 for the DC column
+    (and a Nyquist column, were the band ever to reach it), 2 for the
+    rest, phases from the integer ``(k c) mod W`` so every angle is
+    exact.  Values agree with gathering the dense aerial to float
+    round-off (<= 1e-12).  The sparse EPE path and the surrogate's
+    prediction lift share this map.  ``intensity_sub`` may be host or
+    device resident; the transforms and the sum run wherever the
+    backend's arrays live, and the ``(B, S)`` values always come back
+    host-side (the metrology boundary).
     """
-    idx = fft.index
-    spectrum = fft.fft2(intensity_sub, axes=(-2, -1))
-    spec_band = spectrum[
-        :, idx(band.up_rows_src[:, None]), idx(band.up_cols_src[None, :])
-    ].reshape(intensity_sub.shape[0], -1)
-    stacked = fft.concat([spec_band.real, spec_band.imag], axis=1)
-    return fft.to_host(
-        stacked @ _sparse_phase_matrix(band.shape, band, rows, cols, fft)
-    )
+    columns = _band_column_resample(intensity_sub, band, fft)
+    width = band.shape[1]
+    k = np.arange(columns.shape[-1])
+    # Phases once per distinct pixel column (stencils share columns).
+    unique_cols, col_of = np.unique(cols, return_inverse=True)
+    angle = (2 * np.pi / width) * ((unique_cols[:, None] * k) % width)
+    # irfft counts the DC and Nyquist columns once and drops their
+    # imaginary parts; every other column also stands for its mirror.
+    single = (k == 0) | (2 * k == width)
+    cos_w = np.cos(angle) * (np.where(single, 1.0, 2.0) / width)
+    sin_w = np.sin(angle) * (np.where(single, 0.0, 2.0) / width)
+    picked = columns[:, fft.index(rows), :]
+    values = fft.einsum(
+        "bsk,sk->bs", picked.real, fft.to_device(cos_w[col_of])
+    ) - fft.einsum("bsk,sk->bs", picked.imag, fft.to_device(sin_w[col_of]))
+    return fft.to_host(values)
 
 
 @dataclass
@@ -678,9 +656,7 @@ class OpticalKernelSet:
             rows_dst=_band_indices(m0, b0),
             cols_dst=_band_indices(m1, b1),
             up_rows_src=_band_indices(m0, 2 * b0),
-            up_cols_src=_band_indices(m1, 2 * b1),
             up_rows_dst=_band_indices(rows, 2 * b0),
-            up_cols_dst=_band_indices(cols, 2 * b1),
         )
 
     def weights_for(self, shape: tuple[int, int]) -> np.ndarray:
@@ -935,38 +911,12 @@ class OpticalKernelSet:
         columns.  Everything runs backend-native; the dense aerial is the
         host/device boundary, so the returned array is always host numpy.
         """
-        rows, cols = band.shape
-        m0, m1 = band.subgrid
-        batch = mask_ffts.shape[0]
-        fft = self.fft
-        idx = fft.index
-        sub = gather_band_rfft(mask_ffts, band, fft)
+        sub = gather_band_rfft(mask_ffts, band, self.fft)
         intensity = self._subgrid_intensity(sub, band)
-        spectrum = fft.rfft2(intensity, axes=(-2, -1))
-        upscale = (rows * cols) / (m0 * m1)
-        width = 2 * band.band[1] + 1
-        half = fft.zeros((batch, rows, width), fft.complex128)
-        half[:, idx(band.up_rows_dst), :] = (
-            spectrum[:, idx(band.up_rows_src), :width] * upscale
+        columns = _band_column_resample(intensity, band, self.fft)
+        return self.fft.to_host(
+            self.fft.irfft(columns, n=band.shape[1], axis=-1)
         )
-        return fft.to_host(fft.irfft(fft.ifft(half, axis=-2), n=cols, axis=-1))
-
-    def _sparse_band_values(
-        self,
-        sub: np.ndarray,
-        band: GridBandSpectra,
-        rows: np.ndarray,
-        cols: np.ndarray,
-    ) -> np.ndarray:
-        """Intensity at a pixel set from subgrid-scattered mask bands.
-
-        The subgrid convolution runs exactly as in :meth:`_band_intensity`;
-        the full-grid inverse FFT of the intensity is replaced by a direct
-        DFT gather — one real GEMM of the ``(B, 2F)`` intensity-band
-        spectra against the cached ``(2F, S)`` phase matrix.
-        """
-        intensity = self._subgrid_intensity(sub, band)
-        return band_values_at_pixels(intensity, band, rows, cols, self.fft)
 
     def intensity_at_pixels(
         self, mask_ffts: np.ndarray, rows: np.ndarray, cols: np.ndarray
@@ -975,13 +925,14 @@ class OpticalKernelSet:
 
         Returns ``(B, S)`` values mathematically identical to
         ``intensity_from_mask_ffts(mask_ffts)[:, rows, cols]`` (<= 1e-12
-        absolute — the pruned resample and the direct DFT gather are the
-        same linear map evaluated in different summation orders).  On the
-        compact band path the full-grid inverse transform never happens:
-        cost drops to one ``(B, 2F) x (2F, S)`` GEMM after the subgrid
-        convolution.  Non-compact and legacy-spatial sets fall back to
-        the dense intensity plus a fancy-index gather, which is exact by
-        construction.
+        absolute — the last resample step, ``irfft`` along W, becomes a
+        direct sum over the band columns at each pixel).  On the compact
+        band path the full-grid aerial never exists: after the subgrid
+        convolution, cost is the ``2 b1 + 1``-column ``ifft`` along H the
+        dense engine also runs, plus ``S x (2 b1 + 1)`` multiply-adds
+        (:func:`band_values_at_pixels`).  Non-compact and legacy-spatial
+        sets fall back to the dense intensity plus a fancy-index gather,
+        which is exact by construction.
         """
         if mask_ffts.ndim != 3:
             raise LithoError(
@@ -994,7 +945,10 @@ class OpticalKernelSet:
             band = self.band_spectra(shape)
             if band.compact:
                 sub = gather_band_rfft(mask_ffts, band, self.fft)
-                return self._sparse_band_values(sub, band, rows, cols)
+                intensity = self._subgrid_intensity(sub, band)
+                return band_values_at_pixels(
+                    intensity, band, rows, cols, self.fft
+                )
         return self._full_grid_intensity(mask_ffts, shape)[:, rows, cols]
 
     def _half_spectra_band(
@@ -1055,7 +1009,8 @@ class OpticalKernelSet:
         )
         rows, cols = _validate_pixel_set(shape, rows, cols)
         sub = gather_band_rfft(mask_rffts, band, self.fft)
-        return self._sparse_band_values(sub, band, rows, cols)
+        intensity = self._subgrid_intensity(sub, band)
+        return band_values_at_pixels(intensity, band, rows, cols, self.fft)
 
     def subgrid_intensity_from_rfft(
         self, mask_rffts: np.ndarray, shape: tuple[int, int]

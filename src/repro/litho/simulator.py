@@ -436,14 +436,17 @@ class LithographySimulator:
         constructed: the stack is forward-transformed once with the
         band-pruned real-input transform of :meth:`simulate_batch`
         (bit for bit the leading columns of ``rfft2`` on the numpy
-        backend), both kernel sets gather their pupil
-        bands from it by Hermitian symmetry, and each plan's pixel set
-        is evaluated by the direct band-spectrum gather
-        (:meth:`~repro.litho.kernels.OpticalKernelSet.
-        sparse_intensity_from_rfft`).  Values agree with gathering the
-        dense :meth:`simulate_batch` aerials at the same pixels to
-        <= 1e-12 absolute intensity — resolved EPE offsets agree to
-        <= 1e-9 nm.  Grids whose pupil band is not compact (or legacy
+        backend), both kernel sets gather their pupil bands from it by
+        Hermitian symmetry and convolve on the subgrid, and each plan's
+        pixel set is evaluated by the dense engine's own resample cut
+        short (:meth:`~repro.litho.kernels.OpticalKernelSet.
+        sparse_intensity_from_rfft`): the ``ifft`` along H runs on the
+        ``2 b1 + 1`` band columns, and a direct Hermitian sum over those
+        columns at each wanted pixel replaces the ``irfft`` along W.
+        Nothing per pixel set is built or cached.  Values agree with
+        gathering the dense :meth:`simulate_batch` aerials at the same
+        pixels to <= 1e-12 absolute intensity — resolved EPE offsets
+        agree to <= 1e-9 nm.  Grids whose pupil band is not compact (or legacy
         spatial kernel sets) fall back to the dense engine plus a
         gather, which is exact.
 

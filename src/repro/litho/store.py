@@ -345,7 +345,5 @@ class KernelSpectraStore:
             rows_dst=_band_indices(m0, b0),
             cols_dst=_band_indices(m1, b1),
             up_rows_src=_band_indices(m0, 2 * b0),
-            up_cols_src=_band_indices(m1, 2 * b1),
             up_rows_dst=_band_indices(rows, 2 * b0),
-            up_cols_dst=_band_indices(cols, 2 * b1),
         )

@@ -322,8 +322,7 @@ def plan_contour_stencils(
 
     Plans are cached per ``(grid, points, normals, search window)`` —
     clip geometry is immutable, so repeated verification of the same
-    clip (the service's steady state) reuses one plan, and with it the
-    litho engine's cached phase matrix for the pixel set.
+    clip (the service's steady state) reuses one plan.
     """
     points, normals = _validate_inputs(points, normals, search_nm, step_nm)
     key = (

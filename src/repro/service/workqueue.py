@@ -101,6 +101,12 @@ CRASH_GRACE_S = 1.0
 """A dead worker's last messages may still be in the pipe; only after
 this long with *no* message from that worker is it declared crashed."""
 
+PARENT_CHECK_S = 1.0
+"""How long an idle worker waits on the task queue before checking that
+its parent is still alive.  A parent killed without a shutdown (SIGKILL)
+sends no sentinel, so without this check its workers would block on the
+queue forever, orphaned."""
+
 RETRY_BACKOFF_S = 0.25
 """Base delay before a crashed task's first re-dispatch; doubles per
 attempt (0.25, 0.5, 1.0, ...) so a systematically-crashing clip cannot
@@ -189,12 +195,33 @@ def _pool_worker(
     dies abruptly — an abrupt death sends no message at all, but the
     memory write is already visible.
 
+    A worker outlives a parent killed without a shutdown only briefly:
+    an idle one checks :func:`multiprocessing.parent_process` every
+    :data:`PARENT_CHECK_S`, and a busy one fails its next send, because
+    the worker closes its own copy of the result pipe's read end — once
+    the parent is gone nobody holds it, so the write raises
+    ``BrokenPipeError`` instead of blocking on a pipe nobody drains.
+
     ``generation`` counts revivals of this slot (0 = first start), and
     ``fault_plan`` is the pool's explicit fault plan, installed before
     anything can fail; injection contexts carry the generation
     (``worker.build``) and the task attempt (everything else) so a rule
     can target "the first revival" or "attempt 0 of clip X" exactly.
     """
+    out_queue._reader.close()
+    try:
+        _serve_tasks(
+            worker_id, spec, task_queue, out_queue, claims, generation,
+            fault_plan,
+        )
+    except BrokenPipeError:
+        pass  # the parent is gone: nobody is left to read a result
+
+
+def _serve_tasks(
+    worker_id: int, spec, task_queue, out_queue, claims, generation: int,
+    fault_plan,
+) -> None:
     from repro.service.registry import engine_epe_search_nm
     from repro.service.sharding import OptOutcome
 
@@ -210,8 +237,14 @@ def _pool_worker(
         out_queue.put(("fatal", worker_id, None, describe_error(exc)))
         return
     out_queue.put(("ready", worker_id, None, None))
+    parent = mp.parent_process()
     while True:
-        task = task_queue.get()
+        try:
+            task = task_queue.get(timeout=PARENT_CHECK_S)
+        except queue_mod.Empty:
+            if parent is not None and not parent.is_alive():
+                return
+            continue
         if task is None:
             claims[worker_id] = NO_CLAIM
             out_queue.put(("exit", worker_id, None, None))

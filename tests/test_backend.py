@@ -39,9 +39,8 @@ from repro.geometry import Grid, Polygon, Rect, rasterize
 from repro.geometry.segmentation import fragment_clip
 from repro.litho.kernels import (
     _BAND_DFT_CACHE,
-    _PHASE_CACHE,
+    _band_column_resample,
     _band_dft_matrices,
-    _sparse_phase_matrix,
     band_limited_mask_subgrid_direct,
     band_values_at_pixels,
     gather_band_rfft,
@@ -172,14 +171,15 @@ class TestFingerprintExclusion:
 
 
 class TestDtypePolicy:
-    def test_sparse_phase_matrix_is_float64(self, band_geometry):
+    def test_band_column_resample_is_complex128(self, band_geometry):
+        """The resample half that dense and sparse paths share."""
         band, _ = band_geometry
-        rows = np.array([5, 80, 120], dtype=np.int64)
-        cols = np.array([7, 40, 150], dtype=np.int64)
-        matrix = _sparse_phase_matrix(
-            (160, 160), band, rows, cols, resolve_backend("numpy", 1)
+        intensity = np.random.default_rng(4).random((2,) + band.subgrid)
+        columns = _band_column_resample(
+            intensity, band, resolve_backend("numpy", 1)
         )
-        assert matrix.dtype == np.float64
+        assert columns.shape == (2, 160, 2 * band.band[1] + 1)
+        assert columns.dtype == np.complex128
 
     def test_band_dft_matrices_are_complex128_float64(self, band_geometry):
         band, _ = band_geometry
@@ -218,67 +218,10 @@ class TestDtypePolicy:
 
 
 class TestCacheIdentity:
-    def test_numpy_and_scipy_share_host_phase_matrices(self, band_geometry):
-        """Same array_identity -> literally the same cached object; no
-        duplicate host copies for a transform-library swap."""
-        if not scipy_fft_available():
-            pytest.skip("scipy not installed")
-        band, _ = band_geometry
-        rows = np.array([3, 9], dtype=np.int64)
-        cols = np.array([4, 11], dtype=np.int64)
-        via_numpy = _sparse_phase_matrix(
-            (160, 160), band, rows, cols, resolve_backend("numpy", 1)
-        )
-        via_scipy = _sparse_phase_matrix(
-            (160, 160), band, rows, cols, resolve_backend("scipy", 2)
-        )
-        assert via_scipy is via_numpy
-
-    def test_phase_cache_keys_carry_array_identity(self, band_geometry):
-        band, _ = band_geometry
-        rows = np.array([1, 2], dtype=np.int64)
-        cols = np.array([3, 4], dtype=np.int64)
-        _sparse_phase_matrix(
-            (160, 160), band, rows, cols, resolve_backend("numpy", 1)
-        )
-        key = (
-            (160, 160), band.band, rows.tobytes(), cols.tobytes(),
-            ("numpy", "cpu"),
-        )
-        assert key in _PHASE_CACHE
-
     def test_band_dft_cache_keys_carry_array_identity(self, band_geometry):
         band, _ = band_geometry
         _band_dft_matrices((160, 160), band, resolve_backend("numpy", 1))
         assert ((160, 160), band.band, ("numpy", "cpu")) in _BAND_DFT_CACHE
-
-    @requires_torch
-    def test_torch_gets_its_own_device_entries(self, band_geometry):
-        """A device backend must never be served the host copy (or vice
-        versa): distinct array_identity -> distinct cache entry, holding
-        a tensor on the backend's device."""
-        import torch
-
-        band, _ = band_geometry
-        rows = np.array([3, 9], dtype=np.int64)
-        cols = np.array([4, 11], dtype=np.int64)
-        host = _sparse_phase_matrix(
-            (160, 160), band, rows, cols, resolve_backend("numpy", 1)
-        )
-        backend = resolve_backend("torch", device="cpu")
-        device_copy = _sparse_phase_matrix(
-            (160, 160), band, rows, cols, backend
-        )
-        assert isinstance(host, np.ndarray)
-        assert isinstance(device_copy, torch.Tensor)
-        assert device_copy.dtype == torch.float64
-        np.testing.assert_array_equal(host, device_copy.cpu().numpy())
-        # And the host entry is still served to host backends afterwards
-        # (no cross-backend eviction/overwrite).
-        again = _sparse_phase_matrix(
-            (160, 160), band, rows, cols, resolve_backend("numpy", 1)
-        )
-        assert again is host
 
     def test_contour_plan_cache_is_backend_independent(self):
         """Stencil plans are pure geometry — no FFT input — so one plan
@@ -347,6 +290,24 @@ class TestTorchParity:
         for r, g in zip(ref, got):
             assert isinstance(g.aerial, np.ndarray)
             assert np.abs(g.aerial - r.aerial).max() < 1e-12
+
+    def test_band_values_at_pixels_parity(self, band_geometry):
+        """The sparse resample gather on device vs host: same values to
+        float round-off, returned host-side."""
+        band, _ = band_geometry
+        intensity = np.random.default_rng(6).random((3,) + band.subgrid)
+        rows = np.array([0, 17, 80, 159], dtype=np.int64)
+        cols = np.array([159, 0, 41, 77], dtype=np.int64)
+        host = band_values_at_pixels(
+            intensity, band, rows, cols, resolve_backend("numpy", 1)
+        )
+        backend = resolve_backend("torch", device="cpu")
+        device = band_values_at_pixels(
+            backend.to_device(intensity), band, rows, cols, backend
+        )
+        assert isinstance(device, np.ndarray)
+        assert device.dtype == np.float64
+        assert np.abs(device - host).max() < 1e-12
 
     def test_surrogate_forward_fast_parity(self, band_geometry):
         from repro.surrogate.model import CFNOLite, pupil_modes

@@ -208,7 +208,7 @@ class TestPopulationTraining:
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             CamoConfig(rl_population=0)
-        with pytest.raises(ConfigError):
+        with pytest.raises(TypeError, match="rl_eval_mode"):
             CamoConfig(rl_eval_mode="approximate")
 
     def test_forward_population_matches_single(self, simulator, clip):
@@ -268,17 +268,11 @@ class TestPopulationTraining:
         agent._train_rl([clip], {"rl_reward": []}, False)
         assert called == ["seq"]
 
-    def test_spectral_eval_mode_deprecated_and_ignored(self, simulator, clip):
-        """The retired screening knob warns and no longer affects routing:
-        P=1 stays on the sequential loop."""
-        with pytest.warns(DeprecationWarning, match="rl_eval_mode"):
-            config = CamoConfig.smoke(rl_eval_mode="spectral")
-        agent = CAMO(config, simulator)
-        called = []
-        agent._train_rl_sequential = lambda *a, **k: called.append("seq")
-        agent._train_rl_population = lambda *a, **k: called.append("pop")
-        agent._train_rl([clip], {"rl_reward": []}, False)
-        assert called == ["seq"]
+    def test_rl_eval_mode_is_rejected(self):
+        """The retired screening knob is gone: every litho call is exact,
+        so a config that still names it fails at construction."""
+        with pytest.raises(TypeError, match="rl_eval_mode"):
+            CamoConfig.smoke(rl_eval_mode="spectral")
 
     def test_population_bias_jitter_offsets(self, simulator, clip):
         """Deterministic start-state jitter: offsets cycle across the

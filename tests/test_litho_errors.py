@@ -15,7 +15,7 @@ from repro.litho import (
     OpticalKernelSet,
     scipy_fft_available,
 )
-from repro.litho.fft import next_fast_len
+from repro.backend import next_fast_len
 from repro.rl.env import OPCEnvironment
 
 

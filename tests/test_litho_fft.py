@@ -10,7 +10,7 @@ from repro.litho import (
     resolve_fft_backend,
     scipy_fft_available,
 )
-from repro.litho.fft import FFTBackend
+from repro.backend import FFTBackend
 
 
 class TestResolution:

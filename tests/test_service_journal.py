@@ -296,6 +296,26 @@ _KILLABLE_SWEEP = textwrap.dedent("""
 """)
 
 
+def _live_group_members(pgid: int) -> list[int] | None:
+    """PIDs of running (non-zombie) processes in group ``pgid``, read
+    from ``/proc``; ``None`` where there is no ``/proc`` to read."""
+    if not os.path.isdir("/proc"):
+        return None
+    live = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as handle:
+                fields = handle.read().rsplit(")", 1)[1].split()
+        except OSError:
+            continue  # exited while we looked
+        state, group = fields[0], int(fields[2])
+        if group == pgid and state not in ("Z", "X"):
+            live.append(int(entry))
+    return live
+
+
 def test_sigkilled_sweep_resumes_bit_for_bit(tmp_path):
     """Run a journaled sharded sweep in a subprocess, SIGKILL it once the
     journal holds at least one verified result, resume in-process: only
@@ -310,9 +330,12 @@ def test_sigkilled_sweep_resumes_bit_for_bit(tmp_path):
             env.get("PYTHONPATH", ""),
         ) if p
     )
+    # A session of its own makes the sweep, its pool workers and their
+    # resource tracker one process group the test can reap.
     proc = subprocess.Popen(
         [sys.executable, "-c", _KILLABLE_SWEEP, path],
         env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+        start_new_session=True,
     )
     try:
         deadline = time.monotonic() + 120.0
@@ -336,10 +359,23 @@ def test_sigkilled_sweep_resumes_bit_for_bit(tmp_path):
                     break
             time.sleep(0.02)
         proc.wait(timeout=60)
+        if killed:
+            # No shutdown sentinel ever reaches the orphaned workers:
+            # they must notice their parent is gone and exit.
+            deadline = time.monotonic() + 30.0
+            live = _live_group_members(proc.pid)
+            while live and time.monotonic() < deadline:
+                time.sleep(0.1)
+                live = _live_group_members(proc.pid)
+            assert not live, f"orphaned pool processes outlived it: {live}"
     finally:
         if proc.poll() is None:
             proc.kill()
             proc.wait(timeout=60)
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass  # the group is already empty
 
     reference = MaskOptService(
         litho_config=_litho_config()
