@@ -32,7 +32,7 @@ def setup():
     return simulator, clip, segments, state, grid, mask
 
 
-def test_bench_aerial_image(setup, benchmark):
+def test_bench_aerial_reference(setup, benchmark):
     simulator, _, _, _, _, mask = setup
     aerial = benchmark(simulator.aerial, mask)
     assert aerial.shape == mask.shape

@@ -28,7 +28,7 @@ Two workloads are timed, each self-checked before any number is printed:
   amortization: the batched policy forward, vectorized metrology, the
   shared-scanline-union feature encode and per-step Python overhead.
   That measures ~1.2x on one core (the policy and litho FLOPs scale
-  with P) and widens with cores under ``fft_backend="scipy"``, where
+  with P) and widens with cores under ``backend="scipy"``, where
   the batched transforms split across the batch axis.  The gate is a
   regression guard on that margin, not the old accuracy-trade ratio.
 

@@ -21,20 +21,15 @@ execution substrate behind one knob:
   so CPU parity with numpy is ~1e-12 (EPE parity gated at <= 1e-9 nm by
   ``benchmarks/bench_backend.py``).  Requested explicitly only; never
   chosen by ``"auto"``.
-* ``"cupy"`` — reserved seam.  The name resolves (and reports a clear
-  error until the adapter set is wired), so configs/CLI flags are
-  forward-compatible.
 * ``"auto"`` — scipy with threads when scipy is importable *and* more
   than one core is available, numpy otherwise.  ``auto`` never picks a
   device backend: device execution is an explicit opt-in.
 
 Backends are resolved once per ``(name, workers, device)`` triple and
 shared.  Cached transform-derived artifacts downstream (band DFT
-matrices, surrogate DFT GEMMs, device kernel spectra, legacy kernel
-spectra) key on :attr:`ArrayBackend.identity` /
+matrices, surrogate DFT GEMMs, device kernel spectra) key on
 :attr:`ArrayBackend.array_identity`, so swapping the backend can never
-serve arrays resident on the wrong device or spectra computed by another
-library's transform.
+serve arrays resident on the wrong device.
 
 Dtype policy
 ------------
@@ -67,16 +62,7 @@ try:  # torch is optional; the torch backend resolves only when importable.
 except ImportError:  # pragma: no cover - depends on the environment
     _torch = None
 
-try:  # cupy seam: detection only until the adapter set is wired.
-    import cupy as _cupy  # pragma: no cover - depends on the environment
-except ImportError:  # pragma: no cover - depends on the environment
-    _cupy = None
-
-BACKEND_NAMES = ("auto", "numpy", "scipy", "torch", "cupy")
-
-#: The pre-array-API spellings accepted by the deprecated ``fft_backend=``
-#: knob (host transform libraries only).
-FFT_BACKEND_NAMES = ("auto", "numpy", "scipy")
+BACKEND_NAMES = ("auto", "numpy", "scipy", "torch")
 
 
 def _is_5_smooth(n: int) -> bool:
@@ -118,11 +104,6 @@ def scipy_fft_available() -> bool:
 def torch_available() -> bool:
     """Whether the torch backend can actually be constructed."""
     return _torch is not None
-
-
-def cupy_available() -> bool:
-    """Whether cupy is importable (the backend itself is still a seam)."""
-    return _cupy is not None
 
 
 @dataclass(frozen=True)
@@ -325,11 +306,6 @@ class ArrayBackend:
         return np.fft.irfft(a, n=n, axis=axis)
 
 
-#: Backward-compatible alias: the FFT backend grew into the full array
-#: backend (PR 10); existing ``FFTBackend`` callers keep working.
-FFTBackend = ArrayBackend
-
-
 @lru_cache(maxsize=16)
 def resolve_backend(
     name: str = "auto",
@@ -366,15 +342,6 @@ def resolve_backend(
         )
     elif name == "scipy" and not scipy_fft_available():
         name = "numpy"
-    if name == "cupy":
-        if _cupy is None:
-            raise LithoError(
-                "backend 'cupy' requested but cupy is not importable"
-            )
-        raise LithoError(
-            "the cupy backend is a reserved seam: its FFT/GEMM adapters "
-            "are not wired yet (use backend='torch' for device execution)"
-        )
     if name == "torch":
         if _torch is None:
             raise LithoError(
@@ -396,13 +363,3 @@ def resolve_backend(
         )
     return ArrayBackend(name=name, workers=resolved_workers, device="cpu")
 
-
-def resolve_fft_backend(
-    name: str = "auto", workers: int | None = None
-) -> ArrayBackend:
-    """Deprecated spelling of :func:`resolve_backend` (host-era API).
-
-    Kept callable — including for the extended backend names — so
-    pre-array-API callers and configs keep resolving.
-    """
-    return resolve_backend(name, workers)

@@ -31,6 +31,14 @@ _MARGIN_NM = 350.0
 _MIN_CENTER_SPACING_NM = 250.0
 """Minimum via centre-to-centre distance."""
 
+_ATTEMPTS_PER_PLACEMENT = 10_000
+"""Draws one placement may take before it counts as stuck (an early via
+can block the rest of a small placement square)."""
+
+_MAX_PLACEMENTS = 20
+"""Placements tried, each from empty, before the clip is declared
+unplaceable."""
+
 
 def generate_via_clip(
     name: str,
@@ -40,7 +48,12 @@ def generate_via_clip(
     via_nm: float = VIA_SIZE_NM,
     with_srafs: bool = True,
 ) -> Clip:
-    """One deterministic via clip with rejection-sampled placement."""
+    """One deterministic via clip with rejection-sampled placement.
+
+    A placement stuck for ``_ATTEMPTS_PER_PLACEMENT`` draws restarts from
+    empty, drawing on from the same generator, so a clip whose first
+    placement succeeds is unchanged by the restart rule.
+    """
     if n_vias < 1:
         raise DataError(f"need at least one via, got {n_vias}")
     rng = np.random.default_rng(seed)
@@ -51,12 +64,18 @@ def generate_via_clip(
 
     centers: list[tuple[float, float]] = []
     attempts = 0
+    placements = 1
     while len(centers) < n_vias:
         attempts += 1
-        if attempts > 10_000:
-            raise DataError(
-                f"could not place {n_vias} vias in {clip_nm} nm clip (seed {seed})"
-            )
+        if attempts > _ATTEMPTS_PER_PLACEMENT:
+            if placements == _MAX_PLACEMENTS:
+                raise DataError(
+                    f"could not place {n_vias} vias in {clip_nm} nm clip "
+                    f"(seed {seed})"
+                )
+            centers = []
+            attempts = 1
+            placements += 1
         # Snap to a 2 nm grid so geometry stays integer-friendly.
         cx = float(rng.integers(int(low / 2), int(high / 2) + 1) * 2)
         cy = float(rng.integers(int(low / 2), int(high / 2) + 1) * 2)

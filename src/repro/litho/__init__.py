@@ -6,17 +6,16 @@ baselines (ICCAD-2013 contest style): Hopkins imaging decomposed into a sum
 of coherent systems (SOCS).  The transmission cross coefficient (TCC) is
 built *frequency-natively* — directly on each simulation grid's DFT
 frequency lattice — and eigendecomposed into exactly band-limited kernel
-spectra, so the compact pupil-band convolution engine is exact (there is
-no separate screening mode).  A constant-threshold resist model with
-dose/defocus process corners yields printed contours and the PV band.
+spectra, so one pupil-band subgrid engine is exact on every grid (there
+is no separate screening mode, spatial-kernel provenance or full-grid
+fallback).  A constant-threshold resist model with dose/defocus process
+corners yields printed contours and the PV band.
 """
 
 from repro.backend import (
     ArrayBackend,
-    FFTBackend,
     next_fast_len,
     resolve_backend,
-    resolve_fft_backend,
     scipy_fft_available,
     torch_available,
 )
@@ -28,7 +27,6 @@ from repro.litho.kernels import (
     OpticalKernelSet,
     build_kernel_set,
 )
-from repro.litho.imaging import aerial_image
 from repro.litho.resist import printed_image
 from repro.litho.process import ProcessCorner, nominal_corner, standard_corners
 from repro.litho.simulator import LithographySimulator, LithoConfig, LithoResult
@@ -36,10 +34,8 @@ from repro.litho.store import KernelSpectraStore, open_store, optics_fingerprint
 
 __all__ = [
     "ArrayBackend",
-    "FFTBackend",
     "next_fast_len",
     "resolve_backend",
-    "resolve_fft_backend",
     "scipy_fft_available",
     "torch_available",
     "SourceSpec",
@@ -52,7 +48,6 @@ __all__ = [
     "GridBandSpectra",
     "OpticalKernelSet",
     "build_kernel_set",
-    "aerial_image",
     "printed_image",
     "ProcessCorner",
     "nominal_corner",

@@ -1,13 +1,12 @@
 """Optical kernel sets: frequency-native, band-limited SOCS spectra.
 
 A :class:`OpticalKernelSet` owns the optics of one process condition
-(focus setting).  Its primary representation is *per-grid band spectra*
+(focus setting).  Its one representation is *per-grid band spectra*
 (:class:`GridBandSpectra`): for every raster shape it simulates on, the
 TCC is built directly on that grid's DFT frequency lattice
 (:func:`repro.litho.tcc.build_tcc_grid`) and eigendecomposed into SOCS
 kernel spectra that are exactly zero outside the pupil band.  Because no
-spatial crop ever happens, the compact pupil-band subgrid engine is
-*exact* — the former screening-vs-reference accuracy split is gone.
+spatial crop ever happens, the pupil-band subgrid engine is *exact*.
 
 Convolution entry points:
 
@@ -15,9 +14,9 @@ Convolution entry points:
   reference path: full-grid per-kernel inverse FFTs over the scattered
   band spectra.  Everything else is tested against it.
 * :meth:`OpticalKernelSet.convolve_intensity_batch` /
-  :meth:`~OpticalKernelSet.intensity_from_mask_ffts` — the unified
-  engine for ``(B, H, W)`` stacks, built on band-pruned real-input
-  transforms so no step computes a full-grid spectrum it then discards:
+  :meth:`~OpticalKernelSet.intensity_from_mask_ffts` — the one engine
+  for ``(B, H, W)`` stacks, built on band-pruned real-input transforms
+  so no step computes a full-grid spectrum it then discards:
 
   1. *forward* (:func:`band_rfft2`) — ``rfft`` along W, keep columns
      ``0 .. b1``, ``fft`` along H on those ``b1 + 1`` columns only;
@@ -36,32 +35,25 @@ Convolution entry points:
   a full complex 500 x 500 ``fft2`` forward and one 500 x 500 ``ifft2``
   per corner with one real 500-row pass plus 14 (forward) or 27
   (resample) column transforms.  Exact to FFT round-off (~1e-15
-  absolute intensity) against the reference path.  The engine falls
-  back to the full-grid per-kernel loop on full ``fft2`` spectra when
-  the band covers the grid, and for legacy spatial sets.
-* :meth:`OpticalKernelSet.intensity_at_pixels` /
-  :meth:`~OpticalKernelSet.sparse_intensity_from_rfft` — the sparse
-  (verify and screening) path: steps 1–3, then the resample's ``ifft``
-  along H (:func:`_band_column_resample`, shared with the dense engine),
-  and instead of the ``irfft`` along W a direct Hermitian sum over the
+  absolute intensity) against the reference path.  When the band covers
+  the grid (coarse pixels, ``compact=False``) the subgrid *is* the grid:
+  steps 1–3 run unchanged and their intensity is the aerial, so step 4
+  is skipped.
+* :meth:`OpticalKernelSet.intensity_at_pixels` — the sparse (verify and
+  screening) path: steps 1–3, then the resample's ``ifft`` along H
+  (:func:`_band_column_resample`, shared with the dense engine), and
+  instead of the ``irfft`` along W a direct Hermitian sum over the
   ``2 b1 + 1`` band columns at each wanted pixel
-  (:func:`band_values_at_pixels`).  No per-pixel-set matrix is built or
-  cached.
+  (:func:`band_values_at_pixels`; a grid the band covers is gathered
+  directly).  No per-pixel-set matrix is built or cached.
 
 Lower-level helpers (:meth:`~OpticalKernelSet.kernel_spectra`,
 :meth:`~OpticalKernelSet.weights_for`,
 :meth:`~OpticalKernelSet.fields_from_mask_fft`) expose the cached
-full-grid transfer functions to callers that hold full mask spectra —
-the dense full-grid fallback and the pixel-ILT gradient loop.
-
-Spatial kernels still exist, but only as a *derived* artifact: the
+full-grid transfer functions to the reference path and the pixel-ILT
+gradient loop.  Spatial kernels exist only as a *derived* artifact: the
 canonical square-lattice materialization (:meth:`spatial_kernels`) feeds
-persistence and visualization, and kernel sets loaded from legacy
-``.npz`` files (spatial arrays only) keep simulating through the
-full-grid path with their padded-kernel FFTs cached per
-``(shape, fft backend)`` — the backend is part of the cache key so one
-set shared across configs can never serve spectra computed by another
-backend's transform.
+persistence and visualization.
 """
 
 from __future__ import annotations
@@ -127,8 +119,9 @@ class GridBandSpectra:
         subgrid: Alias-free intensity subgrid ``(m0, m1)``
             (5-smooth, ``m >= 4b + 1``); equals ``shape`` when the band
             covers the grid.
-        compact: Whether the subgrid is strictly smaller than the grid
-            (i.e. the band engine actually saves work).
+        compact: Whether the subgrid is strictly smaller than the grid.
+            When it is not, the subgrid intensity is the full-grid
+            aerial itself and no resample runs.
         sub_spectra: ``(K, m0, m1)`` kernel spectra scattered onto the
             subgrid, prescaled by ``(m0 * m1) / (H * W)`` so a subgrid
             inverse FFT of ``gathered_mask_fft * sub_spectra[k]`` yields
@@ -168,21 +161,12 @@ def band_rfft2(masks, columns: int, backend: ArrayBackend):
 
 def shared_mask_spectra(stack, kernel_sets):
     """One forward transform of a validated ``(B, H, W)`` mask stack that
-    every set in ``kernel_sets`` can read.
-
-    When each set is frequency-native with a compact band on this grid,
-    this is :func:`band_rfft2` pruned to the widest band's ``b1 + 1``
-    columns (the Hermitian gather reads nothing else); otherwise it is
-    the full complex ``fft2`` the dense fallback needs.
-    """
+    every set in ``kernel_sets`` can read: :func:`band_rfft2` pruned to
+    the widest band's ``b1 + 1`` columns (the Hermitian gather reads
+    nothing else)."""
     shape = (int(stack.shape[-2]), int(stack.shape[-1]))
-    backend = kernel_sets[0].fft
-    if all(kset.is_native for kset in kernel_sets):
-        bands = [kset.band_spectra(shape) for kset in kernel_sets]
-        if all(band.compact for band in bands):
-            columns = max(band.band[1] for band in bands) + 1
-            return band_rfft2(stack, columns, backend)
-    return backend.fft2(stack, axes=(-2, -1))
+    columns = max(kset.band_spectra(shape).band[1] for kset in kernel_sets)
+    return band_rfft2(stack, columns + 1, kernel_sets[0].fft)
 
 
 def gather_band_rfft(
@@ -225,27 +209,6 @@ def gather_band_rfft(
     )
     sub[:, idx(band.rows_dst[:, None]), idx(band.cols_dst[None, :])] = gathered
     return sub
-
-
-def band_limited_mask_subgrid(
-    mask_rffts: np.ndarray, band: GridBandSpectra, fft
-) -> np.ndarray:
-    """Band-limited mask raster resampled onto the intensity subgrid.
-
-    ``(B, H, W//2+1)`` rfft spectra map to real ``(B, m0, m1)`` rasters on
-    the same physical 0..1 transmission scale as the full-grid mask: the
-    subgrid inverse FFT carries a ``1/(m0 m1)`` normalization where the
-    band coefficients came from an ``(H, W)`` forward transform, so the
-    resample gain is ``(m0 m1)/(H W)``.  This is the surrogate model's
-    input feature — everything the projection optics can see of the mask,
-    at the cheapest alias-free resolution.
-    """
-    rows, cols = band.shape
-    m0, m1 = band.subgrid
-    sub = gather_band_rfft(mask_rffts, band, fft)
-    return fft.to_host(
-        fft.ifft2(sub, axes=(-2, -1)).real * ((m0 * m1) / (rows * cols))
-    )
 
 
 _BAND_DFT_CACHE: "OrderedDict[tuple, tuple]" = OrderedDict()
@@ -294,15 +257,21 @@ def _band_dft_matrices(
 def band_limited_mask_subgrid_direct(
     masks, band: GridBandSpectra, backend: ArrayBackend | None = None
 ):
-    """:func:`band_limited_mask_subgrid` without the full-grid transform.
+    """Band-limited mask raster resampled onto the intensity subgrid.
 
-    The pupil band holds only ``(2 b0 + 1) x (2 b1 + 1)`` coefficients, so
-    for screening-sized batches two small GEMMs against cached separable
-    DFT matrices beat a ``(B, H, W)`` forward FFT that computes ``H W``
-    coefficients and discards almost all of them.  Values agree with the
-    FFT route to float round-off (same linear map, different summation
-    order); the fast path of the surrogate screener.  Under a device
-    backend the two GEMMs (and the result) live on the device.
+    ``(B, H, W)`` masks map to real ``(B, m0, m1)`` rasters on the same
+    physical 0..1 transmission scale as the full-grid mask — everything
+    the projection optics can see of the mask, at the cheapest alias-free
+    resolution; the surrogate model's input feature.
+
+    The pupil band holds only ``(2 b0 + 1) x (2 b1 + 1)`` coefficients,
+    so for screening-sized batches two small GEMMs against cached
+    separable DFT matrices beat a ``(B, H, W)`` forward FFT that computes
+    ``H W`` coefficients and discards almost all of them.  Values agree
+    with gathering the band from a forward FFT (:func:`gather_band_rfft`)
+    to float round-off (same linear map, different summation order).
+    Under a device backend the two GEMMs (and the result) live on the
+    device.
     """
     backend = backend or _host_backend()
     masks = backend.asarray_f64(masks)
@@ -323,7 +292,9 @@ def band_coeffs_to_subgrid(
 
     ``coeffs`` are full-grid DFT coefficients at the band frequencies (row
     order ``_band_indices``); the subgrid scatter plus a small inverse FFT
-    reproduce :func:`band_limited_mask_subgrid`'s output scale.  Host
+    reproduce the full-grid mask's transmission scale (the subgrid
+    inverse FFT carries ``1/(m0 m1)`` where the coefficients came from an
+    ``(H, W)`` forward transform, so the gain is ``(m0 m1)/(H W)``).  Host
     backends keep the historical ``np.fft`` inverse transform (the
     subgrid is ~30x30 — threading never pays here, and the numpy route
     stays bit-for-bit with the seed history); the torch backend runs the
@@ -389,8 +360,12 @@ def band_values_at_pixels(
     prediction lift share this map.  ``intensity_sub`` may be host or
     device resident; the transforms and the sum run wherever the
     backend's arrays live, and the ``(B, S)`` values always come back
-    host-side (the metrology boundary).
+    host-side (the metrology boundary).  When the band covers the grid
+    (``band.compact`` is false) the subgrid *is* the grid, and the
+    pixels are gathered directly.
     """
+    if not band.compact:
+        return fft.to_host(intensity_sub[:, fft.index(rows), fft.index(cols)])
     columns = _band_column_resample(intensity_sub, band, fft)
     width = band.shape[1]
     k = np.arange(columns.shape[-1])
@@ -413,31 +388,21 @@ def band_values_at_pixels(
 class OpticalKernelSet:
     """SOCS kernels for one focus condition.
 
-    Two provenances share this class:
-
-    * **Frequency-native** (``source`` given, the builder default): band
-      spectra are constructed lazily per grid shape and are the source of
-      truth; ``weights`` / ``kernels`` stay ``None`` and spatial kernels
-      exist only through :meth:`spatial_kernels` (persistence /
-      visualization).
-    * **Legacy spatial** (``weights`` + ``kernels`` arrays given, e.g.
-      loaded from an old ``.npz``): simulation runs through the full-grid
-      path with padded-kernel FFTs; there is no band engine because a
-      cropped kernel is not band-limited.
+    Band spectra are constructed lazily per grid shape from the optics
+    below and are the source of truth; spatial kernels exist only
+    through :meth:`spatial_kernels` (persistence / visualization).
 
     Attributes:
         pixel_nm: Raster pitch the kernels are sampled at.
         defocus_nm: Focus condition this set represents.
-        weights / kernels: Legacy spatial arrays (``None`` when native).
-        source: Illumination source (native sets).
-        wavelength_nm / numerical_aperture: Optics of the native build.
+        source: Illumination source.
+        wavelength_nm / numerical_aperture: Projection optics.
         max_kernels / energy_fraction: SOCS truncation knobs.
         period_nm: Square-lattice period of the canonical spatial
             materialization (persistence/visualization only — simulation
             lattices are per-grid).
         cutoff_per_nm: Coherent pupil cutoff ``NA / lambda`` in
-            cycles/nm (informational; ``None`` for legacy files that
-            never recorded it).
+            cycles/nm (informational).
         fft_cache_capacity: Max distinct grid shapes kept resident in
             each bounded LRU (band spectra, full-grid transfer stacks).
         fft_backend / fft_workers / device: Array/transform backend
@@ -446,12 +411,11 @@ class OpticalKernelSet:
             including ``"torch"``, and ``device`` picks the torch device
             (``None`` = CUDA when available).  All entry points share
             the one resolved :class:`~repro.backend.ArrayBackend`;
-            cached FFT-derived artifacts are keyed by backend identity
-            (+ device), so swapping the backend can never serve stale or
-            wrong-device spectra.  Device execution lives on the compact
-            band path (batched subgrid convolution, sparse gathers); the
-            dense full-grid fallback, the single-mask reference path and
-            legacy spatial sets always run host-side.
+            cached device copies of the spectra are keyed by backend
+            identity (+ device), so swapping the backend can never serve
+            wrong-device spectra.  Device execution covers the batched
+            engine and the sparse gathers; the single-mask reference
+            path and the ILT field helper always run host-side.
         spectra_store: Optional disk-persistent store
             (:class:`repro.litho.store.KernelSpectraStore`) consulted on
             band-spectra misses before building, and written after every
@@ -463,9 +427,7 @@ class OpticalKernelSet:
 
     pixel_nm: float
     defocus_nm: float
-    weights: np.ndarray | None = None
-    kernels: np.ndarray | None = None
-    source: SourceSpec | None = None
+    source: SourceSpec
     wavelength_nm: float = WAVELENGTH_NM
     numerical_aperture: float = NUMERICAL_APERTURE
     max_kernels: int = 12
@@ -495,19 +457,6 @@ class OpticalKernelSet:
     an unguarded ``move_to_end`` can race another thread's eviction."""
 
     def __post_init__(self) -> None:
-        if self.kernels is not None:
-            if (
-                self.kernels.ndim != 3
-                or self.kernels.shape[1] != self.kernels.shape[2]
-            ):
-                raise LithoError(f"bad kernel array shape {self.kernels.shape}")
-            if self.weights is None or len(self.weights) != len(self.kernels):
-                raise LithoError("weights / kernels length mismatch")
-        elif self.source is None:
-            raise LithoError(
-                "kernel set needs either a source spec (frequency-native) "
-                "or explicit spatial weights + kernels (legacy)"
-            )
         if self.fft_cache_capacity < 1:
             raise LithoError(
                 f"fft_cache_capacity must be >= 1, got {self.fft_cache_capacity}"
@@ -515,12 +464,7 @@ class OpticalKernelSet:
         # Resolve eagerly so a bad backend name fails at construction.
         resolve_backend(self.fft_backend, self.fft_workers, self.device)
 
-    # -- provenance / backend ------------------------------------------------
-    @property
-    def is_native(self) -> bool:
-        """True for frequency-native sets (band spectra available)."""
-        return self.source is not None and self.kernels is None
-
+    # -- backend -------------------------------------------------------------
     @property
     def fft(self) -> ArrayBackend:
         """The resolved array backend shared by every entry point.
@@ -533,40 +477,15 @@ class OpticalKernelSet:
 
     def _host_fft(self) -> ArrayBackend:
         """The host-side backend for paths that are host-only by design
-        (single-mask reference, dense fallback, legacy spatial sets,
-        ILT field gradients).  Numpy/scipy backends pass through; a
-        device backend degrades to single-threaded numpy."""
+        (single-mask reference, ILT field gradients).  Numpy/scipy
+        backends pass through; a device backend degrades to
+        single-threaded numpy."""
         fft = self.fft
         return fft if fft.is_numpy else resolve_backend("numpy", 1)
-
-    @property
-    def count(self) -> int:
-        """Kernel count of a legacy spatial set (per-grid for native)."""
-        if self.is_native:
-            raise LithoError(
-                "frequency-native kernel sets have per-grid kernel counts; "
-                "use band_spectra(shape).count"
-            )
-        return len(self.weights)
-
-    @property
-    def ambit_px(self) -> int:
-        """Spatial kernel extent of a legacy set (native sets have none)."""
-        if self.is_native:
-            raise LithoError(
-                "frequency-native kernel sets are not spatially cropped "
-                "and have no ambit"
-            )
-        return self.kernels.shape[1]
 
     # -- per-grid band spectra (the source of truth) -------------------------
     def band_spectra(self, shape: tuple[int, int]) -> GridBandSpectra:
         """Band-limited SOCS spectra for one grid shape (built once, LRU)."""
-        if not self.is_native:
-            raise LithoError(
-                "legacy spatial kernel sets carry no band spectra; "
-                "rebuild with build_kernel_set for the frequency-native path"
-            )
         key = (int(shape[0]), int(shape[1]))
         with self._cache_lock:
             cached = self._band_cache.get(key)
@@ -661,39 +580,24 @@ class OpticalKernelSet:
 
     def weights_for(self, shape: tuple[int, int]) -> np.ndarray:
         """Kernel weights matching :meth:`kernel_spectra` for one shape."""
-        if self.is_native:
-            return self.band_spectra((int(shape[0]), int(shape[1]))).weights
-        return self.weights
+        return self.band_spectra((int(shape[0]), int(shape[1]))).weights
 
     # -- full-grid transfer functions ---------------------------------------
     def kernel_spectra(self, shape: tuple[int, int]) -> np.ndarray:
         """Cached ``(K, H, W)`` full-grid kernel spectra (read-only).
 
-        Native sets scatter the band coefficients (exactly zero outside
-        the pupil band, backend-independent); legacy sets FFT their
-        zero-padded spatial kernels (cached per transform backend).
+        The band coefficients scattered onto the full grid: exactly zero
+        outside the pupil band, and backend-independent (no transform
+        runs).
         """
         key = (int(shape[0]), int(shape[1]))
         self._validate_grid(key)
-        if self.is_native:
-            cache_key = (key, "band")
-        else:
-            # Legacy spatial sets transform host-side (see _host_fft);
-            # the full resolved identity keys the cache so one set
-            # shared across configs can never serve spectra computed by
-            # another backend's transform.
-            cache_key = (key, *self._host_fft().identity)
+        cache_key = (key, "band")
         with self._cache_lock:
-            return self._kernel_spectra_locked(key, cache_key)
-
-    def _kernel_spectra_locked(
-        self, key: tuple[int, int], cache_key: tuple
-    ) -> np.ndarray:
-        cached = self._fft_cache.get(cache_key)
-        if cached is not None:
-            self._fft_cache.move_to_end(cache_key)
-            return cached
-        if self.is_native:
+            cached = self._fft_cache.get(cache_key)
+            if cached is not None:
+                self._fft_cache.move_to_end(cache_key)
+                return cached
             band = self.band_spectra(key)
             m0, m1 = band.subgrid
             scale = (key[0] * key[1]) / (m0 * m1)
@@ -703,32 +607,17 @@ class OpticalKernelSet:
             ] = band.sub_spectra[
                 :, band.rows_dst[:, None], band.cols_dst[None, :]
             ] * scale
-        else:
-            c = self.ambit_px
-            half = c // 2
-            stack = np.empty((self.count, *key), dtype=np.complex128)
-            for k in range(self.count):
-                padded = np.zeros(key, dtype=np.complex128)
-                padded[:c, :c] = self.kernels[k]
-                # Centre the kernel on pixel (0, 0) for circular convolution.
-                padded = np.roll(padded, (-half, -half), axis=(0, 1))
-                stack[k] = self._host_fft().fft2(padded, axes=(-2, -1))
-        self._fft_cache[cache_key] = stack
-        while len(self._fft_cache) > self.fft_cache_capacity:
-            self._fft_cache.popitem(last=False)
-        return stack
+            self._fft_cache[cache_key] = stack
+            while len(self._fft_cache) > self.fft_cache_capacity:
+                self._fft_cache.popitem(last=False)
+            return stack
 
     # -- validation ----------------------------------------------------------
     def _validate_grid(self, shape: tuple[int, int]) -> None:
         if len(shape) != 2:
             raise LithoError(f"grid shape must be 2-D, got {shape}")
-        if self.is_native:
-            # Raises "frequency lattice too coarse" for unusably small grids.
-            self.band_spectra(shape)
-        elif min(shape) < self.ambit_px:
-            raise LithoError(
-                f"grid {shape} cannot hold kernels with ambit {self.ambit_px}"
-            )
+        # Raises "frequency lattice too coarse" for unusably small grids.
+        self.band_spectra(shape)
 
     def validate_mask_batch(self, masks):
         """Check and coerce a ``(B, H, W)`` stack of rasterized masks.
@@ -747,11 +636,6 @@ class OpticalKernelSet:
             )
         if stack.shape[0] == 0:
             raise LithoError("mask batch is empty")
-        if not self.is_native and min(stack.shape[1:]) < self.ambit_px:
-            raise LithoError(
-                f"batch masks {tuple(stack.shape[1:])} smaller than kernel "
-                f"ambit {self.ambit_px}"
-            )
         self._validate_grid(tuple(stack.shape[1:]))
         return stack
 
@@ -780,13 +664,13 @@ class OpticalKernelSet:
         return intensity
 
     def convolve_intensity_batch(self, masks: np.ndarray) -> np.ndarray:
-        """Aerial intensities of a ``(B, H, W)`` mask stack (unified engine).
+        """Aerial intensities of a ``(B, H, W)`` mask stack (batched engine).
 
-        One forward transform over the batch axis (band-pruned on the
-        compact band path, see :func:`shared_mask_spectra`) feeds the
-        band-limited subgrid engine, which is exact: the spectra carry no
-        energy outside the gathered band.  Per-mask results are
-        bit-for-bit independent of the batch size.
+        One band-pruned forward transform over the batch axis (see
+        :func:`shared_mask_spectra`) feeds the band-limited subgrid
+        engine, which is exact: the spectra carry no energy outside the
+        gathered band.  Per-mask results are bit-for-bit independent of
+        the batch size.
         """
         stack = self.validate_mask_batch(masks)
         spectra = shared_mask_spectra(stack, (self,))
@@ -799,16 +683,18 @@ class OpticalKernelSet:
 
         Lets callers share one forward transform across several kernel
         sets (the simulator's focus + defocus corner sweep).
-        ``mask_ffts`` holds all H rows of each mask's spectrum and either
-        every column (``fft2``, the default when ``shape`` is omitted) or,
-        with ``shape=(H, W)`` given, at least the pupil band's ``b1 + 1``
-        leading columns (``rfft2`` or :func:`band_rfft2` output).  Runs
-        the compact pupil-band subgrid engine whenever it saves work;
-        otherwise the full-grid per-kernel loop, which needs full
-        spectra (always the case for legacy spatial sets — a cropped
-        kernel is not band-limited, so only the full-grid path is exact
-        for them).
+        ``mask_ffts`` holds all H rows of each mask's spectrum and at
+        least the pupil band's ``b1 + 1`` leading columns: full ``fft2``
+        spectra, ``rfft2`` spectra or :func:`band_rfft2` output.
+        ``shape`` is the grid ``(H, W)``; it defaults to the spectra's
+        own trailing dimensions, which is right for full spectra only.
         """
+        band = self._spectra_band(mask_ffts, shape)
+        return self._band_intensity(mask_ffts, band)
+
+    def _spectra_band(self, mask_ffts, shape) -> GridBandSpectra:
+        """Validate mask spectra against a grid (default: their own
+        trailing dimensions); returns the pupil band they feed."""
         if mask_ffts.ndim != 3:
             raise LithoError(
                 f"mask spectra must be 3-D (B, H, W), got shape {mask_ffts.shape}"
@@ -822,20 +708,7 @@ class OpticalKernelSet:
                 f"mask spectra {tuple(mask_ffts.shape[-2:])} do not match "
                 f"grid {shape}"
             )
-        if self.is_native:
-            band = self.band_spectra(shape)
-            if band.compact:
-                self._check_band_columns(mask_ffts, band)
-                return self._band_intensity(mask_ffts, band)
-        if mask_ffts.shape[-1] != shape[1]:
-            raise LithoError(
-                f"the dense full-grid path on {shape} needs full (B, H, W) "
-                f"spectra, got {mask_ffts.shape[-1]} columns"
-            )
-        return self._full_grid_intensity(mask_ffts, shape)
-
-    @staticmethod
-    def _check_band_columns(mask_ffts, band: GridBandSpectra) -> None:
+        band = self.band_spectra(shape)
         needed = band.band[1] + 1
         if mask_ffts.shape[-1] < needed:
             raise LithoError(
@@ -843,6 +716,7 @@ class OpticalKernelSet:
                 f"pupil band of the {band.shape} grid needs at least "
                 f"{needed} (b1 + 1)"
             )
+        return band
 
     def _device_band_arrays(self, band: GridBandSpectra):
         """``(weights, sub_spectra)`` resident where the backend computes.
@@ -908,107 +782,46 @@ class OpticalKernelSet:
         columns only, and an ``irfft`` along W (zero-padded to ``n=W``)
         finishes the full-grid aerial — the same linear map as a
         zero-padded full-grid ``ifft2``, without transforming the empty
-        columns.  Everything runs backend-native; the dense aerial is the
-        host/device boundary, so the returned array is always host numpy.
+        columns.  When the band covers the grid the subgrid is the grid,
+        so the subgrid intensity is already the aerial and the resample
+        is skipped.  Everything runs backend-native; the dense aerial is
+        the host/device boundary, so the returned array is always host
+        numpy.
         """
         sub = gather_band_rfft(mask_ffts, band, self.fft)
         intensity = self._subgrid_intensity(sub, band)
+        if not band.compact:
+            return self.fft.to_host(intensity)
         columns = _band_column_resample(intensity, band, self.fft)
         return self.fft.to_host(
             self.fft.irfft(columns, n=band.shape[1], axis=-1)
         )
 
     def intensity_at_pixels(
-        self, mask_ffts: np.ndarray, rows: np.ndarray, cols: np.ndarray
+        self,
+        mask_ffts,
+        rows: np.ndarray,
+        cols: np.ndarray,
+        shape: tuple[int, int] | None = None,
     ) -> np.ndarray:
         """Aerial intensity of ``(B, H, W)`` mask spectra at S pixels.
 
-        Returns ``(B, S)`` values mathematically identical to
-        ``intensity_from_mask_ffts(mask_ffts)[:, rows, cols]`` (<= 1e-12
-        absolute — the last resample step, ``irfft`` along W, becomes a
-        direct sum over the band columns at each pixel).  On the compact
-        band path the full-grid aerial never exists: after the subgrid
+        The sparse companion of :meth:`intensity_from_mask_ffts`, taking
+        the same spectra and ``shape``: callers forward-transform their
+        mask stack once (:func:`shared_mask_spectra`) and share it across
+        the focus and defocus kernel sets.  Returns ``(B, S)`` values
+        mathematically identical to ``intensity_from_mask_ffts(mask_ffts,
+        shape)[:, rows, cols]`` (<= 1e-12 absolute — the last resample
+        step, ``irfft`` along W, becomes a direct sum over the band
+        columns at each pixel; bit for bit when the band covers the
+        grid).  The full-grid aerial never exists: after the subgrid
         convolution, cost is the ``2 b1 + 1``-column ``ifft`` along H the
         dense engine also runs, plus ``S x (2 b1 + 1)`` multiply-adds
-        (:func:`band_values_at_pixels`).  Non-compact and legacy-spatial
-        sets fall back to the dense intensity plus a fancy-index gather,
-        which is exact by construction.
+        (:func:`band_values_at_pixels`).
         """
-        if mask_ffts.ndim != 3:
-            raise LithoError(
-                f"mask spectra must be 3-D (B, H, W), got shape {mask_ffts.shape}"
-            )
-        shape = tuple(mask_ffts.shape[-2:])
-        self._validate_grid(shape)
-        rows, cols = _validate_pixel_set(shape, rows, cols)
-        if self.is_native:
-            band = self.band_spectra(shape)
-            if band.compact:
-                sub = gather_band_rfft(mask_ffts, band, self.fft)
-                intensity = self._subgrid_intensity(sub, band)
-                return band_values_at_pixels(
-                    intensity, band, rows, cols, self.fft
-                )
-        return self._full_grid_intensity(mask_ffts, shape)[:, rows, cols]
-
-    def _half_spectra_band(
-        self, mask_rffts, shape: tuple[int, int], entry: str
-    ) -> GridBandSpectra:
-        """Validate half-width spectra for an rfft entry point; returns
-        the compact band they feed."""
-        if mask_rffts.ndim != 3:
-            raise LithoError(
-                "mask rfft spectra must be 3-D (B, H, <= W//2+1), got shape "
-                f"{mask_rffts.shape}"
-            )
-        rows, cols = shape
-        if mask_rffts.shape[-2] != rows or mask_rffts.shape[-1] > cols // 2 + 1:
-            raise LithoError(
-                f"rfft spectra {tuple(mask_rffts.shape[-2:])} do not match "
-                f"grid {shape} (expected {rows} rows and at most "
-                f"{cols // 2 + 1} columns)"
-            )
-        self._validate_grid(shape)
-        if not self.is_native:
-            raise LithoError(
-                f"{entry} needs a frequency-native kernel set; legacy "
-                "spatial sets must gather from the dense path "
-                "(intensity_at_pixels)"
-            )
-        band = self.band_spectra(shape)
-        if not band.compact:
-            raise LithoError(
-                f"{entry} needs a compact pupil band; the {shape} grid's "
-                "band covers it — use intensity_at_pixels on full spectra "
-                "instead"
-            )
-        self._check_band_columns(mask_rffts, band)
-        return band
-
-    def sparse_intensity_from_rfft(
-        self,
-        mask_rffts: np.ndarray,
-        shape: tuple[int, int],
-        rows: np.ndarray,
-        cols: np.ndarray,
-    ) -> np.ndarray:
-        """Sparse intensity from half-width real-input spectra.
-
-        The fast path of the sparse EPE pipeline: callers forward-
-        transform their real mask stack once — :func:`band_rfft2` to the
-        band's ``b1 + 1`` columns, or a full ``rfft2`` — and share the
-        result across the focus and defocus kernel sets; the pupil band
-        is reconstructed by Hermitian symmetry.  Only available on the
-        compact band path — the dense fallback needs full spectra, so
-        callers without a compact band should compute ``fft2`` and use
-        :meth:`intensity_at_pixels` instead.
-        """
-        shape = (int(shape[0]), int(shape[1]))
-        band = self._half_spectra_band(
-            mask_rffts, shape, "sparse_intensity_from_rfft"
-        )
-        rows, cols = _validate_pixel_set(shape, rows, cols)
-        sub = gather_band_rfft(mask_rffts, band, self.fft)
+        band = self._spectra_band(mask_ffts, shape)
+        rows, cols = _validate_pixel_set(band.shape, rows, cols)
+        sub = gather_band_rfft(mask_ffts, band, self.fft)
         intensity = self._subgrid_intensity(sub, band)
         return band_values_at_pixels(intensity, band, rows, cols, self.fft)
 
@@ -1022,50 +835,11 @@ class OpticalKernelSet:
         representation of the aerial image — the surrogate trainer uses it
         as ground-truth labels, and :func:`band_values_at_pixels` lifts
         either these or surrogate predictions to full-grid pixels.
-        Takes the same spectra as :meth:`sparse_intensity_from_rfft` and
-        likewise requires a frequency-native compact-band set.
+        Takes the same spectra as :meth:`intensity_at_pixels`.
         """
-        shape = (int(shape[0]), int(shape[1]))
-        band = self._half_spectra_band(
-            mask_rffts, shape, "subgrid_intensity_from_rfft"
-        )
+        band = self._spectra_band(mask_rffts, shape)
         sub = gather_band_rfft(mask_rffts, band, self.fft)
         return self.fft.to_host(self._subgrid_intensity(sub, band))
-
-    def _full_grid_intensity(
-        self, mask_ffts, shape: tuple[int, int]
-    ) -> np.ndarray:
-        fft = self.fft
-        if not fft.is_numpy:
-            # The dense fallback exists for non-compact bands and legacy
-            # spatial sets — host-only paths by design (the device win
-            # lives on the compact band pipeline).
-            mask_ffts = fft.to_host(mask_ffts)
-            fft = self._host_fft()
-        kernel_ffts = self.kernel_spectra(shape)
-        weights = self.weights_for(shape)
-        intensity = np.zeros(mask_ffts.shape, dtype=np.float64)
-        if fft.name == "scipy" and fft.workers > 1 and mask_ffts.shape[0] > 1:
-            # Threaded backend: one (B, H, W) inverse transform per kernel
-            # lets the workers split the batch axis.
-            for weight, kernel_fft in zip(weights, kernel_ffts):
-                field_k = fft.ifft2(mask_ffts * kernel_fft, axes=(-2, -1))
-                term = field_k.real**2
-                term += field_k.imag**2
-                term *= weight
-                intensity += term
-            return intensity
-        # Per-mask inner loop: 2-D transforms on contiguous slices are
-        # faster than one (B, H, W) batched transform on a single core
-        # (smaller working set) and bit-for-bit identical to it.
-        for mask_fft, out in zip(mask_ffts, intensity):
-            for weight, kernel_fft in zip(weights, kernel_ffts):
-                field_k = fft.ifft2(mask_fft * kernel_fft, axes=(-2, -1))
-                term = field_k.real**2
-                term += field_k.imag**2
-                term *= weight
-                out += term
-        return intensity
 
     def fields_from_mask_fft(self, mask_fft: np.ndarray) -> np.ndarray:
         """Per-kernel coherent fields ``(K, H, W)`` for one mask spectrum.
@@ -1087,12 +861,10 @@ class OpticalKernelSet:
     def spatial_kernels(self) -> tuple[np.ndarray, np.ndarray]:
         """Canonical spatial ``(weights, kernels)`` for saving / plotting.
 
-        Native sets materialize the square ``period_nm`` lattice once
-        (uncropped — the full periodic kernel) and normalize so an open
-        frame images to 1.0; legacy sets return their stored arrays.
+        Materializes the square ``period_nm`` lattice once (uncropped —
+        the full periodic kernel) and normalizes so an open frame images
+        to 1.0.
         """
-        if not self.is_native:
-            return self.weights, self.kernels
         if self._canonical is None:
             tcc = build_tcc(
                 self.source,
@@ -1118,29 +890,27 @@ class OpticalKernelSet:
 
     # -- persistence ---------------------------------------------------------
     def save(self, path: str) -> None:
-        """Persist the set: spatial kernels plus (native) optics metadata."""
+        """Persist the set: spatial kernels plus the optics metadata
+        :meth:`load` rebuilds it from."""
         weights, kernels = self.spatial_kernels()
         extras: dict[str, object] = {}
         if self.cutoff_per_nm is not None:
             extras["cutoff_per_nm"] = self.cutoff_per_nm
-        if self.is_native:
-            extras.update(
-                source_shape=self.source.shape,
-                source_sigma=self.source.sigma,
-                source_sigma_in=self.source.sigma_in,
-                source_sigma_out=self.source.sigma_out,
-                wavelength_nm=self.wavelength_nm,
-                numerical_aperture=self.numerical_aperture,
-                max_kernels=self.max_kernels,
-                energy_fraction=self.energy_fraction,
-                period_nm=self.period_nm,
-            )
         np.savez_compressed(
             path,
             weights=weights,
             kernels=kernels,
             pixel_nm=self.pixel_nm,
             defocus_nm=self.defocus_nm,
+            source_shape=self.source.shape,
+            source_sigma=self.source.sigma,
+            source_sigma_in=self.source.sigma_in,
+            source_sigma_out=self.source.sigma_out,
+            wavelength_nm=self.wavelength_nm,
+            numerical_aperture=self.numerical_aperture,
+            max_kernels=self.max_kernels,
+            energy_fraction=self.energy_fraction,
+            period_nm=self.period_nm,
             **extras,
         )
 
@@ -1152,45 +922,41 @@ class OpticalKernelSet:
         fft_workers: int | None = None,
         device: str | None = None,
     ) -> "OpticalKernelSet":
-        """Reload a saved set.
+        """Reload a saved set from its optics metadata.
 
         The transform backend is an execution choice, not physics, so it
         is never persisted; pass ``fft_backend="numpy"`` explicitly when
         bit-for-bit reproducibility with a pre-save numpy-backend set is
         required (the ``"auto"`` default may resolve to threaded scipy
-        on multi-core hosts, ~1e-12 from numpy).
+        on multi-core hosts, ~1e-12 from numpy).  A file with spatial
+        kernels only (no optics metadata) raises :class:`LithoError`:
+        a cropped spatial kernel is not band-limited, so the set has to
+        be rebuilt from its optics.
         """
         with np.load(path) as data:
+            if "source_shape" not in data:
+                raise LithoError(
+                    f"{path} holds spatial kernels without optics "
+                    "metadata; rebuild the set with build_kernel_set"
+                )
             cutoff = (
                 float(data["cutoff_per_nm"]) if "cutoff_per_nm" in data else None
             )
-            if "source_shape" in data:
-                # Full optics metadata present: reconstruct frequency-native.
-                source = SourceSpec(
-                    shape=str(data["source_shape"]),
-                    sigma=float(data["source_sigma"]),
-                    sigma_in=float(data["source_sigma_in"]),
-                    sigma_out=float(data["source_sigma_out"]),
-                )
-                return cls(
-                    pixel_nm=float(data["pixel_nm"]),
-                    defocus_nm=float(data["defocus_nm"]),
-                    source=source,
-                    wavelength_nm=float(data["wavelength_nm"]),
-                    numerical_aperture=float(data["numerical_aperture"]),
-                    max_kernels=int(data["max_kernels"]),
-                    energy_fraction=float(data["energy_fraction"]),
-                    period_nm=float(data["period_nm"]),
-                    cutoff_per_nm=cutoff,
-                    fft_backend=fft_backend,
-                    fft_workers=fft_workers,
-                    device=device,
-                )
+            source = SourceSpec(
+                shape=str(data["source_shape"]),
+                sigma=float(data["source_sigma"]),
+                sigma_in=float(data["source_sigma_in"]),
+                sigma_out=float(data["source_sigma_out"]),
+            )
             return cls(
                 pixel_nm=float(data["pixel_nm"]),
                 defocus_nm=float(data["defocus_nm"]),
-                weights=np.asarray(data["weights"]),
-                kernels=np.asarray(data["kernels"]),
+                source=source,
+                wavelength_nm=float(data["wavelength_nm"]),
+                numerical_aperture=float(data["numerical_aperture"]),
+                max_kernels=int(data["max_kernels"]),
+                energy_fraction=float(data["energy_fraction"]),
+                period_nm=float(data["period_nm"]),
                 cutoff_per_nm=cutoff,
                 fft_backend=fft_backend,
                 fft_workers=fft_workers,

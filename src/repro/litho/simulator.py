@@ -50,9 +50,11 @@ engine with two entry points:
                 500 per corner                         + ``irfft`` 500 rows per corner
   ============  =====================================  ======================================
 
-  The full complex ``fft2`` stays only where it is the one exact path:
-  grids whose pupil band is not compact, legacy spatial kernel sets,
-  and the :meth:`simulate_mask` reference.
+  When the pupil band covers the grid (pixels coarser than ~36 nm at
+  the default optics) the subgrid is the grid itself: the same forward,
+  gather and subgrid convolution run, and the subgrid intensity is the
+  aerial, so the resample is skipped.  The full complex ``fft2`` stays
+  only in the :meth:`simulate_mask` reference.
 
 Array/device backend
 --------------------
@@ -76,8 +78,7 @@ device tensors and run the forward transform, band convolution and
 sparse gathers on the device; the returned aerials / sparse values are
 always host numpy — downstream metrology and resist thresholding are
 host-side by contract, so conversion happens exactly once, at this
-boundary.  The old ``fft_backend=`` spelling is accepted as a
-deprecated alias of ``backend=`` and warns.
+boundary.
 
 Batched metrology contract
 --------------------------
@@ -98,7 +99,6 @@ follow this two-call pattern.
 from __future__ import annotations
 
 import threading
-import warnings
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -153,10 +153,6 @@ class LithoConfig:
     """Torch device (``"cpu"``, ``"cuda"``, ``"cuda:N"``); ``None``
     picks CUDA when available.  Host backends ignore it (must be
     ``None``/``"cpu"``)."""
-    fft_backend: str | None = None
-    """Deprecated alias of ``backend=`` (the knob predates the array-API
-    refactor).  Passing it warns and, when ``backend`` is left at its
-    default, routes the value into ``backend``."""
     fft_workers: int | None = None
     """Thread count for the scipy backend; ``None`` uses every core."""
     spectra_store: str | None = None
@@ -171,17 +167,6 @@ class LithoConfig:
             raise LithoError("pixel_nm must be positive")
         if self.period_nm <= 0:
             raise LithoError("period_nm must be positive")
-        if self.fft_backend is not None:
-            warnings.warn(
-                "LithoConfig(fft_backend=) is deprecated; use backend= "
-                "(same host spellings, plus 'torch')",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-            if self.backend == "auto":
-                # The frozen dataclass is mutated only here, inside
-                # construction, before any reader can observe it.
-                object.__setattr__(self, "backend", self.fft_backend)
         resolve_backend(self.backend, self.fft_workers, self.device)
 
 
@@ -440,15 +425,15 @@ class LithographySimulator:
         Hermitian symmetry and convolve on the subgrid, and each plan's
         pixel set is evaluated by the dense engine's own resample cut
         short (:meth:`~repro.litho.kernels.OpticalKernelSet.
-        sparse_intensity_from_rfft`): the ``ifft`` along H runs on the
+        intensity_at_pixels`): the ``ifft`` along H runs on the
         ``2 b1 + 1`` band columns, and a direct Hermitian sum over those
         columns at each wanted pixel replaces the ``irfft`` along W.
         Nothing per pixel set is built or cached.  Values agree with
         gathering the dense :meth:`simulate_batch` aerials at the same
         pixels to <= 1e-12 absolute intensity — resolved EPE offsets
-        agree to <= 1e-9 nm.  Grids whose pupil band is not compact (or legacy
-        spatial kernel sets) fall back to the dense engine plus a
-        gather, which is exact.
+        agree to <= 1e-9 nm.  On a grid the pupil band covers, the
+        subgrid intensity is the aerial and is gathered directly, bit
+        for bit.
 
         Like :meth:`simulate_batch`, ``masks`` may be a device tensor
         under a device backend; the sparse values in each returned
@@ -498,24 +483,14 @@ class LithographySimulator:
         if not groups:
             return results
 
-        shape = grid.shape
         defocus_set = self.kernel_set(inner.defocus_nm) if with_defocus else None
         kernel_sets = [focus_set] + ([defocus_set] if with_defocus else [])
-        compact = all(
-            kset.is_native and kset.band_spectra(shape).compact
-            for kset in kernel_sets
-        )
         spectra = shared_mask_spectra(stack, kernel_sets)
-        if compact:
-            def evaluate(kset, indices, plan):
-                return kset.sparse_intensity_from_rfft(
-                    spectra[indices], shape, plan.pixel_rows, plan.pixel_cols
-                )
-        else:
-            def evaluate(kset, indices, plan):
-                return kset.intensity_at_pixels(
-                    spectra[indices], plan.pixel_rows, plan.pixel_cols
-                )
+
+        def evaluate(kset, indices, plan):
+            return kset.intensity_at_pixels(
+                spectra[indices], plan.pixel_rows, plan.pixel_cols, grid.shape
+            )
 
         from repro.metrology.contour import SparseAerial
 

@@ -21,13 +21,16 @@ Sparse evaluation: a :class:`ContourStencilPlan` enumerates, once per
 (clip geometry, search window), the unique grid pixels every bilinear
 stencil of every search sample touches — typically a few hundred of the
 grid's ~10^5 pixels.  The lithography engine evaluates intensity at just
-that pixel set (:meth:`repro.litho.kernels.OpticalKernelSet.
-intensity_at_pixels`), and :meth:`ContourStencilPlan.profiles` rebuilds
-the search profiles with *exactly* the arithmetic of
+that pixel set through its one sparse entry point
+(:meth:`repro.litho.kernels.OpticalKernelSet.intensity_at_pixels`, fed
+the same band-pruned spectra as the dense engine), and
+:meth:`ContourStencilPlan.profiles` rebuilds the search profiles with
+*exactly* the arithmetic of
 :func:`~repro.geometry.raster.bilinear_sample_many` — given identical
 pixel values the profiles are bit-for-bit identical, so the whole sparse
 path differs from the dense one only by the engine's <= 1e-12 intensity
-round-off.
+round-off (and not at all on a grid the pupil band covers, where both
+read the same subgrid intensity).
 """
 
 from __future__ import annotations

@@ -75,7 +75,7 @@ from repro.service.workqueue import (
 )
 
 FINGERPRINT_EXCLUDED_LITHO_FIELDS = (
-    "backend", "device", "fft_backend", "fft_workers", "spectra_store",
+    "backend", "device", "fft_workers", "spectra_store",
 )
 """Deployment knobs that change *where/how fast* the numbers are
 computed, never the numbers themselves (to far inside every acceptance

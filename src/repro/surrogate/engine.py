@@ -11,9 +11,10 @@ never leave the ranking step, so the service's 1e-6 nm verification
 drift gate holds trivially (the final mask re-verifies bit-for-bit).
 
 A checkpoint trained offline (``train-surrogate`` CLI) is the fast path;
-without one the engine self-calibrates per grid shape on the first
-clip's own perturbation neighbourhood — slower on the first clip, warm
-afterwards.
+without one the engine self-calibrates on each clip's own perturbation
+neighbourhood.  Calibration is per clip, never cached across calls, so
+an engine reused for a later clip (a warm pool worker) returns exactly
+what a fresh engine would.
 """
 
 from __future__ import annotations
@@ -110,27 +111,21 @@ class SurrogateOPC:
         self.config = config
         self.simulator = simulator
         self._checkpoint_model: SurrogateModel | None = None
-        self._calibrated: dict[tuple[int, int], SurrogateModel] = {}
 
     # -- model acquisition ---------------------------------------------------
-    def _model_for(self, clip: Clip, env: OPCEnvironment) -> SurrogateModel:
+    def _model_for(self, clip: Clip) -> SurrogateModel:
         if self.config.checkpoint:
             if self._checkpoint_model is None:
                 self._checkpoint_model = load_surrogate(self.config.checkpoint)
             return self._checkpoint_model
-        shape = env.grid.shape
-        model = self._calibrated.get(shape)
-        if model is None:
-            model = self._calibrate(clip)
-            self._calibrated[shape] = model
-        return model
+        return self._calibrate(clip)
 
     def _calibrate(self, clip: Clip) -> SurrogateModel:
         """Self-calibrate on the clip's own perturbation neighbourhood.
 
-        Deterministic (seeded) and shape-cached: later clips sharing the
-        grid shape reuse the model — screening only needs ranking
-        fidelity, not per-clip refitting.
+        Deterministic (seeded) and per clip: a model fitted to another
+        clip's neighbourhood ranks this clip's candidates wrongly, so
+        nothing is reused across calls.
         """
         rng = np.random.default_rng(self.config.seed)
         masks, grid = perturbed_masks(
@@ -163,7 +158,7 @@ class SurrogateOPC:
             initial_bias_nm=self.config.initial_bias_nm,
             epe_search_nm=self.config.epe_search_nm,
         )
-        screener = SurrogateScreener(self._model_for(clip, env))
+        screener = SurrogateScreener(self._model_for(clip))
         limit = max_updates if max_updates is not None else self.config.max_updates
         state = env.reset()
         trajectory = Trajectory(epe_initial=state.total_epe)

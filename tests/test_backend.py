@@ -4,8 +4,8 @@ Four contracts pinned here:
 
 * **Resolution semantics** — ``"auto"`` only ever picks a host backend;
   ``"torch"`` raises when torch is absent (never degrades silently);
-  ``"cupy"`` is a named seam with a clear error; host backends reject
-  device strings.
+  unknown names (the retired ``"cupy"`` seam among them) are rejected;
+  host backends reject device strings.
 * **Dtype policy** — every transform-derived artifact on the sparse and
   surrogate GEMM paths is float64/complex128 under the numpy backend,
   and the torch adapter pins the same dtypes so the process-global
@@ -28,9 +28,7 @@ import pytest
 from repro.backend import (
     BACKEND_NAMES,
     ArrayBackend,
-    cupy_available,
     resolve_backend,
-    resolve_fft_backend,
     scipy_fft_available,
     torch_available,
 )
@@ -85,7 +83,7 @@ def small_mask_stack(count=2, n=160, seed=3):
 
 class TestResolution:
     def test_backend_names_are_the_public_contract(self):
-        assert BACKEND_NAMES == ("auto", "numpy", "scipy", "torch", "cupy")
+        assert BACKEND_NAMES == ("auto", "numpy", "scipy", "torch")
 
     @pytest.mark.parametrize("workers", [1, 4])
     def test_auto_never_picks_a_device_backend(self, workers):
@@ -93,10 +91,10 @@ class TestResolution:
         ``auto`` resolves to a host backend."""
         assert resolve_backend("auto", workers).name in ("numpy", "scipy")
 
-    def test_cupy_is_a_named_seam(self):
-        """The name resolves through validation but reports a clear
-        error either way — absent, or present with no adapters yet."""
-        with pytest.raises(LithoError, match="cupy"):
+    def test_cupy_is_not_a_backend_name(self):
+        """The adapter-less cupy seam is gone: the name is unknown like
+        any other."""
+        with pytest.raises(LithoError, match="unknown array backend 'cupy'"):
             resolve_backend("cupy")
 
     @pytest.mark.skipif(torch_available(), reason="torch is installed")
@@ -133,29 +131,26 @@ class TestResolution:
         torch_cuda = ArrayBackend(name="torch", workers=1, device="cuda:1")
         assert torch_cuda.array_identity == ("torch", "cuda:1")
 
-    def test_deprecated_fft_backend_spelling_still_resolves(self):
-        assert resolve_fft_backend("numpy", 1) is resolve_backend("numpy", 1)
-
 
 class TestDeprecatedConfigKnob:
-    def test_fft_backend_warns_and_aliases_into_backend(self):
-        with pytest.warns(DeprecationWarning, match="use backend="):
-            cfg = LithoConfig(pixel_nm=8.0, fft_backend="numpy")
-        assert cfg.backend == "numpy"
+    def test_fft_backend_keyword_is_rejected(self):
+        """The ``fft_backend=`` alias of ``backend=`` is removed: it is
+        an unknown keyword."""
+        with pytest.raises(TypeError, match="fft_backend"):
+            LithoConfig(pixel_nm=8.0, fft_backend="numpy")
 
-    def test_explicit_backend_wins_over_the_alias(self):
-        with pytest.warns(DeprecationWarning):
-            cfg = LithoConfig(
-                pixel_nm=8.0, backend="numpy", fft_backend="scipy"
-            )
-        assert cfg.backend == "numpy"
+    def test_fft_backend_next_to_backend_is_rejected(self):
+        """With the alias gone there is no precedence rule left:
+        ``fft_backend=`` is rejected even beside an explicit
+        ``backend=``."""
+        with pytest.raises(TypeError, match="fft_backend"):
+            LithoConfig(pixel_nm=8.0, backend="numpy", fft_backend="scipy")
 
     def test_new_spelling_does_not_warn(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             cfg = LithoConfig(pixel_nm=8.0, backend="numpy")
         assert cfg.backend == "numpy"
-        assert cfg.fft_backend is None
 
     def test_bad_backend_rejected_at_config_time(self):
         with pytest.raises(LithoError):
@@ -166,7 +161,7 @@ class TestFingerprintExclusion:
     def test_backend_and_device_are_deployment_knobs(self):
         """Journals written under one backend must resume under any
         other: backend/device never enter the engine fingerprint."""
-        for field in ("backend", "device", "fft_backend", "fft_workers"):
+        for field in ("backend", "device", "fft_workers"):
             assert field in FINGERPRINT_EXCLUDED_LITHO_FIELDS
 
 

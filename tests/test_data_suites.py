@@ -1,5 +1,7 @@
 """Tests for the benchmark suites (Table 1 / Table 2 dataset shapes)."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -55,6 +57,36 @@ class TestViaSuites:
             generate_via_clip("x", n_vias=0, seed=1)
         with pytest.raises(DataError):
             generate_via_clip("x", n_vias=2, seed=1, clip_nm=500)
+
+    def test_suites_pinned_by_digest(self):
+        """The restart rule for stuck placements never fires on the
+        Table 1 suites: their geometry is byte-identical to the
+        generator's output before the rule existed."""
+        digest = hashlib.sha256()
+        for clip in via_train_suite() + via_test_suite():
+            digest.update(repr((
+                clip.name, clip.bbox,
+                [p.vertices for p in clip.targets],
+                [p.vertices for p in clip.srafs],
+            )).encode())
+        assert digest.hexdigest() == (
+            "2dc00abc883e3ba8eb80de0e15b9c0c10d7bf8d0698946ea9a41756358cf82a2"
+        )
+
+    def test_stuck_placement_restarts(self):
+        """Two vias in a 1024 nm clip, seed 1: the first via lands where
+        it blocks the whole placement square.  The generator restarts
+        from empty on the same generator instead of failing."""
+        clip = generate_via_clip("stuck", n_vias=2, seed=1, clip_nm=1024)
+        assert clip.target_count == 2
+        a, b = (t.bbox.center for t in clip.targets)
+        assert np.hypot(a[0] - b[0], a[1] - b[1]) >= 250
+        again = generate_via_clip("stuck", n_vias=2, seed=1, clip_nm=1024)
+        assert again.targets == clip.targets
+
+    def test_unplaceable_clip_still_raises(self):
+        with pytest.raises(DataError, match="could not place"):
+            generate_via_clip("full", n_vias=5, seed=0, clip_nm=1024)
 
     @given(
         n=st.integers(min_value=1, max_value=6),

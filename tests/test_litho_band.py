@@ -1,8 +1,9 @@
 """Frequency-native engine tests: per-grid TCC lattices, band-limited
-SOCS spectra, and the exactness acceptance of the unified subgrid engine
-(max |dI| <= 1e-9 against the retained spatial reference path; sparse
-values from band-pruned spectra <= 1e-12 against the dense aerials;
-dense aerials bit-for-bit against a pinned digest)."""
+SOCS spectra, and the exactness acceptance of the one subgrid engine
+(max |dI| <= 1e-9 against the retained spatial reference path, <= 1e-12
+on grids the pupil band covers; sparse values from band-pruned spectra
+<= 1e-12 against the dense aerials; dense aerials bit-for-bit against a
+pinned digest)."""
 
 import hashlib
 
@@ -36,6 +37,16 @@ EXACTNESS_GRIDS = [
 EXACTNESS_IDS = [
     "square-160", "square-250", "non-square", "production-4nm", "odd-width",
 ]
+
+# Pixels coarser than ~36 nm: the pupil band covers the grid, so the
+# subgrid is the grid itself and the engine skips the resample.
+COVERED_GRIDS = [
+    Grid(0, 0, 40.0, 32, 32),
+    Grid(0, 0, 40.0, 30, 36),
+    Grid(0, 0, 36.0, 48, 40),
+    Grid(0, 0, 50.0, 25, 31),
+]
+COVERED_IDS = ["40nm-32", "40nm-30x36", "36nm-48x40", "50nm-25x31"]
 
 # SHA-256 digests of the dense engine's output for ``pattern_masks`` on
 # the 176 x 144 grid (the ``simulator`` fixture's config, numpy 2.4),
@@ -105,7 +116,7 @@ class TestGridLattice:
 @pytest.fixture(scope="module")
 def simulator():
     return LithographySimulator(
-        LithoConfig(pixel_nm=8.0, max_kernels=8, fft_backend="numpy")
+        LithoConfig(pixel_nm=8.0, max_kernels=8, backend="numpy")
     )
 
 
@@ -145,12 +156,43 @@ class TestExactness:
                     result.printed[corner], reference.printed[corner]
                 )
 
+    @pytest.mark.parametrize("grid", COVERED_GRIDS, ids=COVERED_IDS)
+    def test_band_engine_matches_reference_when_band_covers_grid(self, grid):
+        """The same engine on a grid its pupil band covers: exact against
+        the reference to round-off, and the sparse path gathers the
+        dense aerial bit for bit."""
+        sim = LithographySimulator(LithoConfig(
+            pixel_nm=grid.pixel_nm, max_kernels=8, backend="numpy"
+        ))
+        masks = np.stack(pattern_masks(grid))
+        batched = sim.simulate_batch(masks, grid)
+        for mask, result in zip(masks, batched):
+            reference = sim.simulate_mask(mask, grid)
+            assert np.abs(result.aerial - reference.aerial).max() <= (
+                SPARSE_ABS_ERROR
+            )
+            assert np.abs(
+                result.aerial_defocus - reference.aerial_defocus
+            ).max() <= SPARSE_ABS_ERROR
+        rows = np.arange(grid.rows).repeat(2)
+        cols = np.resize(np.arange(grid.cols), rows.shape)
+        for defocus, attr in ((0.0, "aerial"), (None, "aerial_defocus")):
+            if defocus is None:
+                defocus = sim.corners()[1].defocus_nm
+            kset = sim.kernel_set(defocus)
+            band = kset.band_spectra(grid.shape)
+            assert not band.compact and band.subgrid == grid.shape
+            spectra = band_rfft2(masks, band.band[1] + 1, kset.fft)
+            sparse = kset.intensity_at_pixels(spectra, rows, cols, grid.shape)
+            gathered = np.stack([getattr(r, attr)[rows, cols] for r in batched])
+            assert np.array_equal(sparse, gathered)
+
     @pytest.mark.skipif(
         not scipy_fft_available(), reason="scipy not installed"
     )
     def test_band_engine_matches_reference_scipy(self):
         sim = LithographySimulator(
-            LithoConfig(pixel_nm=8.0, max_kernels=8, fft_backend="scipy",
+            LithoConfig(pixel_nm=8.0, max_kernels=8, backend="scipy",
                         fft_workers=2)
         )
         grid = Grid(0, 0, 8.0, 160, 160)
@@ -183,9 +225,7 @@ class TestExactness:
             kset = simulator.kernel_set(defocus)
             band = kset.band_spectra(grid.shape)
             spectra = band_rfft2(masks, band.band[1] + 1, kset.fft)
-            sparse = kset.sparse_intensity_from_rfft(
-                spectra, grid.shape, rows, cols
-            )
+            sparse = kset.intensity_at_pixels(spectra, rows, cols, grid.shape)
             gathered = np.stack([getattr(r, attr)[rows, cols] for r in dense])
             assert np.abs(sparse - gathered).max() <= SPARSE_ABS_ERROR
 
@@ -229,7 +269,7 @@ class TestExactness:
         narrow = band_rfft2(masks, b1, kset.fft)
         rows, cols = np.array([0, 5]), np.array([3, 7])
         with pytest.raises(LithoError, match=r"needs at least \d+ \(b1 \+ 1\)"):
-            kset.sparse_intensity_from_rfft(narrow, grid.shape, rows, cols)
+            kset.intensity_at_pixels(narrow, rows, cols, grid.shape)
         with pytest.raises(LithoError, match=r"b1 \+ 1"):
             kset.subgrid_intensity_from_rfft(narrow, grid.shape)
         with pytest.raises(LithoError, match=r"b1 \+ 1"):

@@ -9,11 +9,18 @@ the batch size — so callers can switch on batch size alone."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.geometry import Clip, Grid, Polygon, Rect, rasterize
 from repro.geometry.mask_edit import MaskState
 from repro.geometry.segmentation import fragment_clip
-from repro.litho import LithoConfig, LithographySimulator
+from repro.litho import (
+    LithoConfig,
+    LithographySimulator,
+    OpticalKernelSet,
+    SourceSpec,
+)
 from repro.rl.env import OPCEnvironment
 
 MAX_ABS_ERROR = 1e-9
@@ -96,6 +103,33 @@ class TestBatchParity:
             for result, single in zip(batched, alone):
                 assert_results_identical(result, single)
 
+    @settings(max_examples=20, deadline=None)
+    @given(
+        pixel_nm=st.floats(min_value=8.0, max_value=50.0),
+        window_nm=st.tuples(st.floats(600.0, 1100.0), st.floats(600.0, 1100.0)),
+        seed=st.integers(0, 10_000),
+    )
+    def test_property_batch_matches_single_and_reference(
+        self, pixel_nm, window_nm, seed
+    ):
+        """Over pixel pitches on both sides of the compact boundary
+        (~36 nm at the default optics) and odd/even grids: batched
+        aerials equal the B = 1 aerials bit for bit and the spatial
+        reference to <= 1e-12."""
+        shape = tuple(int(extent // pixel_nm) for extent in window_nm)
+        kernel_set = OpticalKernelSet(
+            pixel_nm=pixel_nm, defocus_nm=0.0, source=SourceSpec(),
+            max_kernels=6, fft_backend="numpy",
+        )
+        rng = np.random.default_rng(seed)
+        masks = (rng.random((3, *shape)) < 0.3).astype(np.float64)
+        batched = kernel_set.convolve_intensity_batch(masks)
+        for mask, intensity in zip(masks, batched):
+            alone = kernel_set.convolve_intensity_batch(mask[None])[0]
+            assert np.array_equal(intensity, alone)
+            reference = kernel_set.convolve_intensity(mask)
+            assert np.abs(intensity - reference).max() <= PARITY_ABS_ERROR
+
     def test_array_and_list_inputs_agree(self, sim):
         masks = mask_stack(SQUARE, 3)
         from_list = sim.simulate_batch(masks, SQUARE)
@@ -147,8 +181,9 @@ class TestUnifiedBandEngine:
 
     def test_fallback_when_band_covers_grid(self):
         """When the pupil band spans the whole grid the subgrid cannot
-        shrink; the unified engine must fall back to (and exactly match)
-        the full-grid reference path."""
+        shrink: it is the grid, the engine skips the resample, and the
+        result matches the full-grid reference path to round-off (the
+        bound every compact grid meets)."""
         from repro.litho import build_kernel_set
 
         # 40 nm pixels: the band radius is ~0.28 * n, so 4b + 1 > n.
@@ -162,7 +197,7 @@ class TestUnifiedBandEngine:
         mask[10:20, 10:20] = 1.0
         batched = kernel_set.convolve_intensity_batch(mask[None])
         reference = kernel_set.convolve_intensity(mask)
-        assert np.array_equal(batched[0], reference)
+        assert np.abs(batched[0] - reference).max() <= PARITY_ABS_ERROR
 
 
 def _tiny_env(sim):

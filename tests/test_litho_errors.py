@@ -1,8 +1,8 @@
 """Error-path coverage for the lithography engine plus the bounded
 per-grid caches: every ``LithoError`` raise in ``kernels.py`` /
 ``simulator.py`` is exercised, LRU eviction is shown to keep results
-correct, and the FFT-derived cache is shown to key on backend identity
-(the cross-backend staleness regression)."""
+correct, and the full-grid transfer stacks are shown to be
+backend-independent."""
 
 import numpy as np
 import pytest
@@ -13,139 +13,117 @@ from repro.litho import (
     LithoConfig,
     LithographySimulator,
     OpticalKernelSet,
-    scipy_fft_available,
+    SourceSpec,
 )
 from repro.backend import next_fast_len
 from repro.rl.env import OPCEnvironment
 
 
-def tiny_kernel_set(capacity: int = 6, cutoff: float | None = 0.0126, **kw):
-    """Legacy spatial-provenance set (explicit weights + kernels)."""
-    rng = np.random.default_rng(42)
+def tiny_kernel_set(capacity: int = 6, **kw):
+    """A small uncached set (8 nm pixels, 4 kernels) with its own LRUs;
+    grids from 40 x 40 up hold a usable pupil band."""
     kw.setdefault("fft_backend", "numpy")
     return OpticalKernelSet(
-        weights=np.array([0.5, 0.3, 0.2]),
-        kernels=rng.normal(size=(3, 5, 5)) + 1j * rng.normal(size=(3, 5, 5)),
         pixel_nm=8.0,
         defocus_nm=0.0,
-        cutoff_per_nm=cutoff,
+        source=SourceSpec(),
+        max_kernels=4,
         fft_cache_capacity=capacity,
         **kw,
     )
 
 
-def cache_key(kernel_set, shape):
-    backend = kernel_set.fft
-    return (shape, *backend.identity)
+def cache_key(shape):
+    return (shape, "band")
 
 
 class TestKernelSetErrors:
     def test_non_2d_mask(self):
         with pytest.raises(LithoError):
-            tiny_kernel_set().convolve_intensity(np.ones((2, 16, 16)))
-
-    def test_mask_smaller_than_ambit(self):
-        with pytest.raises(LithoError):
-            tiny_kernel_set().convolve_intensity(np.ones((3, 3)))
+            tiny_kernel_set().convolve_intensity(np.ones((2, 48, 48)))
 
     def test_batch_rejects_2d(self):
         with pytest.raises(LithoError, match="3-D"):
-            tiny_kernel_set().convolve_intensity_batch(np.ones((16, 16)))
+            tiny_kernel_set().convolve_intensity_batch(np.ones((48, 48)))
 
     def test_batch_rejects_4d(self):
         with pytest.raises(LithoError, match="3-D"):
-            tiny_kernel_set().convolve_intensity_batch(np.ones((2, 2, 16, 16)))
+            tiny_kernel_set().convolve_intensity_batch(np.ones((2, 2, 48, 48)))
 
     def test_batch_rejects_empty(self):
         with pytest.raises(LithoError, match="empty"):
-            tiny_kernel_set().convolve_intensity_batch(np.empty((0, 16, 16)))
+            tiny_kernel_set().convolve_intensity_batch(np.empty((0, 48, 48)))
 
     def test_batch_rejects_small_masks(self):
-        with pytest.raises(LithoError, match="ambit"):
+        with pytest.raises(LithoError, match="too coarse"):
             tiny_kernel_set().convolve_intensity_batch(np.ones((2, 3, 3)))
 
     def test_spectra_helper_rejects_2d(self):
         with pytest.raises(LithoError, match="3-D"):
-            tiny_kernel_set().intensity_from_mask_ffts(np.ones((16, 16), complex))
+            tiny_kernel_set().intensity_from_mask_ffts(np.ones((48, 48), complex))
 
     def test_fields_helper_rejects_3d(self):
         with pytest.raises(LithoError, match="2-D"):
-            tiny_kernel_set().fields_from_mask_fft(np.ones((2, 16, 16), complex))
+            tiny_kernel_set().fields_from_mask_fft(np.ones((2, 48, 48), complex))
 
     def test_kernel_spectra_rejects_small_grid(self):
-        with pytest.raises(LithoError, match="ambit"):
+        with pytest.raises(LithoError, match="too coarse"):
             tiny_kernel_set().kernel_spectra((3, 3))
 
     def test_spectra_helper_rejects_small_grid(self):
-        with pytest.raises(LithoError, match="ambit"):
+        with pytest.raises(LithoError, match="too coarse"):
             tiny_kernel_set().intensity_from_mask_ffts(
                 np.ones((1, 3, 3), complex)
             )
 
     def test_fields_helper_rejects_small_grid(self):
-        with pytest.raises(LithoError, match="ambit"):
+        with pytest.raises(LithoError, match="too coarse"):
             tiny_kernel_set().fields_from_mask_fft(np.ones((3, 3), complex))
 
     def test_bad_cache_capacity(self):
         with pytest.raises(LithoError, match="fft_cache_capacity"):
             tiny_kernel_set(capacity=0)
 
-    def test_bad_kernel_shape(self):
-        with pytest.raises(LithoError):
-            OpticalKernelSet(
-                weights=np.ones(2),
-                kernels=np.ones((2, 5, 4), dtype=complex),
-                pixel_nm=8.0,
-                defocus_nm=0.0,
-            )
-
-    def test_weights_kernels_mismatch(self):
-        with pytest.raises(LithoError):
-            OpticalKernelSet(
-                weights=np.ones(3),
-                kernels=np.ones((2, 5, 5), dtype=complex),
-                pixel_nm=8.0,
-                defocus_nm=0.0,
-            )
-
-    def test_needs_source_or_kernels(self):
-        with pytest.raises(LithoError, match="source"):
+    def test_source_is_required(self):
+        with pytest.raises(TypeError, match="source"):
             OpticalKernelSet(pixel_nm=8.0, defocus_nm=0.0)
 
-    def test_native_set_has_no_spatial_ambit(self):
-        from repro.litho import build_kernel_set
-
-        native = build_kernel_set(pixel_nm=8.0, period_nm=1024.0, max_kernels=4)
-        with pytest.raises(LithoError, match="ambit"):
-            native.ambit_px
-        with pytest.raises(LithoError, match="per-grid"):
-            native.count
-
-    def test_legacy_set_has_no_band_spectra(self):
-        with pytest.raises(LithoError, match="band spectra"):
-            tiny_kernel_set().band_spectra((64, 64))
+    def test_legacy_set_has_no_band_spectra(self, tmp_path):
+        """A file of spatial kernels without optics metadata (the old
+        spatial provenance) cannot be simulated exactly; loading it must
+        say how to rebuild the set."""
+        path = str(tmp_path / "spatial-only.npz")
+        np.savez(
+            path,
+            weights=np.array([0.5, 0.3, 0.2]),
+            kernels=np.ones((3, 5, 5), dtype=complex),
+            pixel_nm=8.0,
+            defocus_nm=0.0,
+        )
+        with pytest.raises(LithoError, match="build_kernel_set"):
+            OpticalKernelSet.load(path)
 
 
 class TestFFTCacheLRU:
     def test_capacity_is_enforced(self):
         kernel_set = tiny_kernel_set(capacity=2)
-        for n in (16, 20, 24, 28):
+        for n in (48, 56, 64, 72):
             kernel_set.convolve_intensity(np.ones((n, n)))
         assert len(kernel_set._fft_cache) == 2
         assert list(kernel_set._fft_cache) == [
-            cache_key(kernel_set, (24, 24)),
-            cache_key(kernel_set, (28, 28)),
+            cache_key((64, 64)),
+            cache_key((72, 72)),
         ]
 
     def test_recently_used_shape_survives(self):
         kernel_set = tiny_kernel_set(capacity=2)
-        kernel_set.convolve_intensity(np.ones((16, 16)))
-        kernel_set.convolve_intensity(np.ones((20, 20)))
-        kernel_set.convolve_intensity(np.ones((16, 16)))  # refresh (16, 16)
-        kernel_set.convolve_intensity(np.ones((24, 24)))  # evicts (20, 20)
+        kernel_set.convolve_intensity(np.ones((48, 48)))
+        kernel_set.convolve_intensity(np.ones((56, 56)))
+        kernel_set.convolve_intensity(np.ones((48, 48)))  # refresh (48, 48)
+        kernel_set.convolve_intensity(np.ones((64, 64)))  # evicts (56, 56)
         assert list(kernel_set._fft_cache) == [
-            cache_key(kernel_set, (16, 16)),
-            cache_key(kernel_set, (24, 24)),
+            cache_key((48, 48)),
+            cache_key((64, 64)),
         ]
 
     def test_eviction_keeps_results_correct(self):
@@ -153,51 +131,26 @@ class TestFFTCacheLRU:
         intensities exactly."""
         kernel_set = tiny_kernel_set(capacity=1)
         rng = np.random.default_rng(3)
-        mask_small = rng.random((16, 16))
-        mask_large = rng.random((24, 24))
+        mask_small = rng.random((48, 48))
+        mask_large = rng.random((64, 64))
         first = kernel_set.convolve_intensity(mask_small)
-        kernel_set.convolve_intensity(mask_large)  # evicts the (16, 16) FFTs
-        assert cache_key(kernel_set, (16, 16)) not in kernel_set._fft_cache
+        kernel_set.convolve_intensity(mask_large)  # evicts the (48, 48) stack
+        assert cache_key((48, 48)) not in kernel_set._fft_cache
         again = kernel_set.convolve_intensity(mask_small)
         assert np.array_equal(first, again)
 
     def test_batch_and_single_share_cache(self):
         kernel_set = tiny_kernel_set()
-        kernel_set.convolve_intensity(np.ones((16, 16)))
-        assert list(kernel_set._fft_cache) == [cache_key(kernel_set, (16, 16))]
-        kernel_set.convolve_intensity_batch(np.ones((4, 16, 16)))
+        kernel_set.convolve_intensity(np.ones((48, 48)))
+        assert list(kernel_set._fft_cache) == [cache_key((48, 48))]
+        kernel_set.convolve_intensity_batch(np.ones((4, 48, 48)))
         # no new entry
-        assert list(kernel_set._fft_cache) == [cache_key(kernel_set, (16, 16))]
+        assert list(kernel_set._fft_cache) == [cache_key((48, 48))]
 
 
 class TestFFTCacheBackendKey:
-    """Regression: FFT-derived spectra are keyed by backend identity, so
-    swapping the transform backend on a shared kernel set can never serve
-    spectra computed by the previous backend."""
-
-    def test_worker_identity_in_key(self):
-        kernel_set = tiny_kernel_set(fft_backend="numpy", fft_workers=1)
-        kernel_set.kernel_spectra((16, 16))
-        kernel_set.fft_workers = 2
-        kernel_set.kernel_spectra((16, 16))
-        keys = list(kernel_set._fft_cache)
-        assert ((16, 16), "numpy", 1, "cpu") in keys
-        assert ((16, 16), "numpy", 2, "cpu") in keys
-
-    @pytest.mark.skipif(
-        not scipy_fft_available(), reason="scipy not installed"
-    )
-    def test_backend_swap_recomputes(self):
-        kernel_set = tiny_kernel_set(fft_backend="numpy", fft_workers=1)
-        numpy_stack = kernel_set.kernel_spectra((16, 16))
-        kernel_set.fft_backend = "scipy"
-        kernel_set.fft_workers = 2
-        scipy_stack = kernel_set.kernel_spectra((16, 16))
-        assert scipy_stack is not numpy_stack  # fresh computation
-        assert np.allclose(scipy_stack, numpy_stack, atol=1e-9)
-        # Both entries stay resident under their own keys.
-        assert ((16, 16), "numpy", 1, "cpu") in kernel_set._fft_cache
-        assert ((16, 16), "scipy", 2, "cpu") in kernel_set._fft_cache
+    """The full-grid transfer stacks are scattered band coefficients —
+    no transform runs — so their cache key carries no backend."""
 
     def test_native_band_spectra_are_backend_independent(self):
         from repro.litho import build_kernel_set

@@ -1,4 +1,5 @@
-"""Tests for the pluggable FFT backend behind the lithography engines."""
+"""Tests for the transform side of the array backend behind the
+lithography engines."""
 
 import numpy as np
 import pytest
@@ -7,48 +8,48 @@ from repro.errors import LithoError
 from repro.litho import (
     LithoConfig,
     LithographySimulator,
-    resolve_fft_backend,
+    resolve_backend,
     scipy_fft_available,
 )
-from repro.backend import FFTBackend
+from repro.backend import ArrayBackend
 
 
 class TestResolution:
     def test_numpy_backend(self):
-        backend = resolve_fft_backend("numpy")
+        backend = resolve_backend("numpy")
         assert backend.name == "numpy"
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(LithoError):
-            resolve_fft_backend("fftw")
+            resolve_backend("fftw")
 
     def test_bad_workers_rejected(self):
         with pytest.raises(LithoError):
-            resolve_fft_backend("numpy", workers=0)
+            resolve_backend("numpy", workers=0)
 
     def test_auto_resolves_to_concrete_backend(self):
-        backend = resolve_fft_backend("auto")
+        backend = resolve_backend("auto")
         assert backend.name in ("numpy", "scipy")
 
     def test_auto_single_worker_is_numpy(self):
         """With one worker threading cannot help, so auto must pick the
         bit-for-bit reproducible numpy backend."""
-        assert resolve_fft_backend("auto", workers=1).name == "numpy"
+        assert resolve_backend("auto", workers=1).name == "numpy"
 
     def test_scipy_request_degrades_gracefully(self):
-        backend = resolve_fft_backend("scipy", workers=2)
+        backend = resolve_backend("scipy", workers=2)
         expected = "scipy" if scipy_fft_available() else "numpy"
         assert backend.name == expected
 
     def test_backends_are_cached(self):
-        assert resolve_fft_backend("numpy", 1) is resolve_fft_backend("numpy", 1)
+        assert resolve_backend("numpy", 1) is resolve_backend("numpy", 1)
 
 
 class TestTransforms:
     def test_numpy_backend_matches_np_fft_exactly(self):
         rng = np.random.default_rng(0)
         stack = rng.random((3, 16, 16))
-        backend = FFTBackend(name="numpy", workers=1)
+        backend = ArrayBackend(name="numpy", workers=1)
         assert np.array_equal(backend.fft2(stack), np.fft.fft2(stack, axes=(-2, -1)))
         spec = np.fft.fft2(stack, axes=(-2, -1))
         assert np.array_equal(
@@ -63,8 +64,8 @@ class TestTransforms:
         orders; they must agree far inside the 1e-9 golden tolerance."""
         rng = np.random.default_rng(1)
         stack = rng.random((2, 64, 64))
-        scipy_backend = FFTBackend(name="scipy", workers=2)
-        numpy_backend = FFTBackend(name="numpy", workers=1)
+        scipy_backend = ArrayBackend(name="scipy", workers=2)
+        numpy_backend = ArrayBackend(name="numpy", workers=1)
         delta = np.abs(
             scipy_backend.fft2(stack) - numpy_backend.fft2(stack)
         ).max()
@@ -74,13 +75,13 @@ class TestTransforms:
 class TestSimulatorIntegration:
     def test_litho_config_validates_backend(self):
         with pytest.raises(LithoError):
-            LithoConfig(fft_backend="fftw")
+            LithoConfig(backend="fftw")
 
     def test_kernel_set_carries_backend(self):
         sim = LithographySimulator(
             LithoConfig(
                 pixel_nm=8.0, period_nm=1024.0, max_kernels=4,
-                fft_backend="numpy",
+                backend="numpy",
             )
         )
         assert sim.kernel_set(0.0).fft.name == "numpy"
@@ -98,9 +99,9 @@ class TestSimulatorIntegration:
             [Polygon.from_rect(Rect.square(512, 512, 90))], grid
         )
         base = dict(pixel_nm=8.0, period_nm=1024.0, max_kernels=4)
-        sim_np = LithographySimulator(LithoConfig(fft_backend="numpy", **base))
+        sim_np = LithographySimulator(LithoConfig(backend="numpy", **base))
         sim_sp = LithographySimulator(
-            LithoConfig(fft_backend="scipy", fft_workers=2, **base)
+            LithoConfig(backend="scipy", fft_workers=2, **base)
         )
         ref = sim_np.simulate_mask(mask, grid)
         got = sim_sp.simulate_mask(mask, grid)

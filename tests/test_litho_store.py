@@ -89,15 +89,6 @@ class TestStoreRoundTrip:
             fresh_set(max_kernels=6)
         )
 
-    def test_fingerprint_rejects_legacy(self):
-        weights = np.ones(1)
-        kernels = np.ones((1, 32, 32), dtype=np.complex128)
-        legacy = OpticalKernelSet(
-            pixel_nm=8.0, defocus_nm=0.0, weights=weights, kernels=kernels
-        )
-        with pytest.raises(LithoError, match="legacy"):
-            optics_fingerprint(legacy)
-
 
 class TestStoreRobustness:
     def test_corrupt_entry_is_rebuilt(self, tmp_path):

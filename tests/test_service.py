@@ -94,6 +94,42 @@ class TestRegistry:
             engine = create_engine(name, sim)
             assert callable(engine.optimize)
 
+    @pytest.mark.parametrize("name", [
+        "calibre", "camo", "damo", "ilt", "mbopc", "rlopc", "surrogate",
+    ])
+    def test_engine_reuse_matches_fresh_engines(self, sim, name):
+        """Warm pool workers reuse one engine across requests, so every
+        registry engine must be stateless across ``optimize`` calls: V1
+        then V2 on one engine equals each clip on a fresh engine, bit
+        for bit."""
+        assert len(available_engines()) == 7
+        overrides = {
+            "ilt": {"iterations": 2},
+            "damo": {"initial_bias_nm": 3.0},
+            # Calibrated well enough that the two clips' models rank
+            # differently: a model kept from V1 changes V2's result.
+            "surrogate": {"max_updates": 3, "initial_bias_nm": 3.0,
+                          "calibrate_samples": 12, "calibrate_steps": 80,
+                          "width": 16},
+        }.get(name, {"max_updates": 2, "initial_bias_nm": 3.0})
+        # Same grid shape, so no per-shape state can hide behind a
+        # shape change.
+        clips = [
+            generate_via_clip("reuse1", n_vias=2, seed=3, clip_nm=1024),
+            generate_via_clip("reuse2", n_vias=2, seed=4, clip_nm=1024),
+        ]
+        engine = create_engine(name, sim, overrides)
+        for clip in clips:
+            grid = sim.grid_for(clip)
+            reused = engine.optimize(clip)
+            fresh = create_engine(name, sim, overrides).optimize(clip)
+            assert reused.epe_total == fresh.epe_total
+            assert reused.pvband == fresh.pvband
+            assert reused.epe_curve == fresh.epe_curve
+            np.testing.assert_array_equal(
+                final_mask_image(reused, grid), final_mask_image(fresh, grid)
+            )
+
     def test_unknown_engine(self, sim):
         with pytest.raises(ServiceError, match="unknown engine"):
             create_engine("resolve-by-vibes", sim)

@@ -160,17 +160,21 @@ class TestEngine:
         )
 
     def test_self_calibration_without_checkpoint(self, sim, clip):
-        engine = SurrogateOPC(
-            SurrogateConfig(max_updates=2, calibrate_samples=6,
-                            calibrate_steps=40, width=8), sim
-        )
+        config = SurrogateConfig(max_updates=2, calibrate_samples=6,
+                                 calibrate_steps=40, width=8)
+        engine = SurrogateOPC(config, sim)
         result = engine.optimize(clip)
         assert result.final_state is not None
-        # The calibrated model is cached per grid shape: a second clip
-        # with the same shape must not retrain.
+        # Calibration is per clip: a second clip of the same grid shape
+        # on the reused engine must match a fresh engine exactly, not be
+        # screened by the first clip's model.
         clip2 = generate_via_clip("se2", n_vias=2, seed=39, clip_nm=1024.0)
-        engine.optimize(clip2)
-        assert len(engine._calibrated) == 1
+        reused = engine.optimize(clip2)
+        fresh = SurrogateOPC(config, sim).optimize(clip2)
+        assert reused.final_state.total_epe == fresh.final_state.total_epe
+        np.testing.assert_array_equal(
+            reused.final_state.mask.offsets, fresh.final_state.mask.offsets
+        )
 
 
 class TestService:
