@@ -64,7 +64,10 @@ Components:
 * :class:`~repro.service.workqueue.WorkStealingPool` — the persistent
   warm worker fleet under both sharded sweeps and the daemon: one
   shared task queue per engine spec, workers pull the next clip the
-  moment they free up, crashed workers are revivable in place.
+  moment they free up.  Both front doors consume pools through one
+  policy (:func:`~repro.service.workqueue.drive`): it resolves each
+  task to an outcome or a typed error, retries crashed claims, revives
+  dead workers within a budget, and enforces deadlines.
 * :class:`~repro.service.daemon.MaskOptDaemon` — the always-on asyncio
   front door (``python -m repro serve``): ``await submit(request,
   tenant=...)`` continuously, per-tenant bounded queues that shed load
@@ -127,7 +130,7 @@ from repro.service.sharding import (
     OptOutcome,
     ShardedSuiteRunner,
 )
-from repro.service.workqueue import Task, TaskEvent, WorkStealingPool
+from repro.service.workqueue import Task, WorkStealingPool
 
 __all__ = [
     "OptRequest",
@@ -161,6 +164,5 @@ __all__ = [
     "OptOutcome",
     "ShardedSuiteRunner",
     "Task",
-    "TaskEvent",
     "WorkStealingPool",
 ]

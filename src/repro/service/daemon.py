@@ -19,24 +19,27 @@ Architecture — three threads around one event loop::
       admission control ───ServiceBusy when tenant full
       per-tenant FIFO
       round-robin dispatch ──▶ pool task queues
-                                   drains the shared
-                                   relay of all pools:
-                                   ok ──verify?──────────▶ scheduler.add
-                                   ok (no verify) ─┐        flush_ready /
-                                   error ──────────┤        idle flush
-                                   crash ► revive ─┤        drift check
-                                                   ▼            │
+                                   drive(relay, pools):
+                                   the pools' consumer
+                                   policy resolves tasks
+                                   outcome ──verify?─────▶ scheduler.add
+                                   outcome (no verify) ─┐   flush_ready /
+                                   typed error ─────────┤   idle flush
+                                                        │   drift check
+                                                        ▼       │
                               future.set_result / set_exception ◀┘
                                    (loop.call_soon_threadsafe)
 
-* The **collector** owns every pool's message stream (all pools share
-  one relay queue, each message tagged with its pool).  It routes ``ok``
-  payloads to the verifier (or straight to assembly for ``verify=False``
-  requests), turns per-task ``error`` messages into failed futures, and
-  on its idle polls runs the liveness check: a crashed worker fails only
-  the ticket it had claimed (named via the pool's shared-memory claims
-  array) and is **revived** — the daemon keeps serving, one lost request
-  does not become an outage.
+* The **collector** runs the pools' one consumer policy
+  (:func:`~repro.service.workqueue.drive` over the relay queue all pools
+  share) — the same policy a synchronous sharded sweep runs — and only
+  routes what it resolves: outcomes to the verifier (or straight to
+  assembly for ``verify=False`` requests), errors to their futures.  A
+  crashed worker fails at most the ticket it had claimed, after its
+  retries, and its slot is revived; a pool that cannot serve (engine
+  build failed, result stream corrupted, revive budget spent) fails the
+  tickets it holds and is dropped, and the next request for its engine
+  spawns a fresh one.  One lost request never becomes an outage.
 * The **verifier** owns the service's shape-binned scheduler.  Outcomes
   join their bin as they arrive; any bin reaching ``stream_min_bin``
   masks flushes immediately, and when the daemon goes quiescent (nothing
@@ -92,10 +95,11 @@ from repro.service.service import DEFAULT_RETRIES, MaskOptService
 from repro.service.sharding import EngineSpec
 from repro.service.workqueue import (
     CRASH_GRACE_S,
-    DEFAULT_START_METHOD,
-    POLL_INTERVAL_S,
+    Resolution,
     Task,
     WorkStealingPool,
+    check_delivery,
+    drive,
 )
 
 DEFAULT_MAX_PENDING = 32
@@ -146,9 +150,7 @@ class MaskOptDaemon:
         stream_min_bin: int | None = None,
         flush_idle_s: float = DEFAULT_FLUSH_IDLE_S,
         flush_max_wait_s: float = DEFAULT_FLUSH_MAX_WAIT_S,
-        start_method: str = DEFAULT_START_METHOD,
         grace_s: float = CRASH_GRACE_S,
-        max_revives: int | None = None,
         retries: int = DEFAULT_RETRIES,
         deadline_s: float | None = None,
         stall_timeout_s: float | None = None,
@@ -159,8 +161,7 @@ class MaskOptDaemon:
             raise ServiceError(
                 "pass either a service or a litho_config, not both"
             )
-        if workers < 1:
-            raise ServiceError(f"workers must be >= 1, got {workers}")
+        check_delivery(workers, dispatch, retries, deadline_s, stall_timeout_s)
         if max_pending < 1:
             raise ServiceError(
                 f"max_pending must be >= 1, got {max_pending}"
@@ -185,20 +186,7 @@ class MaskOptDaemon:
         self.stream_min_bin = int(stream_min_bin)
         self.flush_idle_s = float(flush_idle_s)
         self.flush_max_wait_s = float(flush_max_wait_s)
-        self.start_method = start_method
         self.grace_s = float(grace_s)
-        # A worker that keeps dying (e.g. during bootstrap, before it can
-        # even send a "fatal") would otherwise be revived forever; past
-        # this many revives the whole pool is retired as failed.
-        self.max_revives = (
-            3 * self.workers if max_revives is None else int(max_revives)
-        )
-        if retries < 0:
-            raise ServiceError(f"retries must be >= 0, got {retries}")
-        if deadline_s is not None and not deadline_s > 0:
-            raise ServiceError(
-                f"deadline_s must be > 0, got {deadline_s}"
-            )
         self.retries = int(retries)
         self.deadline_s = deadline_s
         self.stall_timeout_s = stall_timeout_s
@@ -225,18 +213,15 @@ class MaskOptDaemon:
         self._verifier: threading.Thread | None = None
         self._pools_lock = threading.Lock()
         self._pools: dict[tuple, WorkStealingPool] = {}
-        self._static_rr: dict[tuple, int] = {}  # loop-side, dispatch="static"
-        self._failed_pools: set = set()  # collector-thread-owned
-        # Dispatched-but-unanswered tickets: written by the dispatcher
-        # (loop), removed by the collector when the payload arrives.
+        # Dispatched-but-unresolved tickets: written by the dispatcher
+        # (loop), removed by the collector when the task resolves.
         self._routed_lock = threading.Lock()
-        self._routed: dict[int, tuple[OptRequest, WorkStealingPool]] = {}
+        self._routed: dict[int, OptRequest] = {}
         self._counter_lock = threading.Lock()
         self._counters = {
             "submitted": 0, "rejected": 0, "completed": 0, "failed": 0,
-            "retried": 0, "deadline_exceeded": 0, "retries_exhausted": 0,
+            "deadline_exceeded": 0, "retries_exhausted": 0,
         }
-        self._last_sweep = 0.0  # collector-thread-owned
 
     # -- lifecycle -----------------------------------------------------------
     async def start(self) -> "MaskOptDaemon":
@@ -419,13 +404,7 @@ class MaskOptDaemon:
                 tenant_queue.popleft()
                 self._queued_count -= 1
                 with self._routed_lock:
-                    self._routed[ticket] = (request, pool)
-                if pool.dispatch == "static":
-                    slot = self._static_rr.get(key, 0)
-                    self._static_rr[key] = slot + 1
-                    worker = slot % pool.workers
-                else:
-                    worker = None
+                    self._routed[ticket] = request
                 try:
                     pool.submit(Task(
                         task_id=ticket,
@@ -440,11 +419,10 @@ class MaskOptDaemon:
                             self.deadline_s if request.deadline_s is None
                             else request.deadline_s
                         ),
-                    ), worker=worker)
+                    ))
                 except ServiceError as exc:
-                    # The pool was torn down between lookup and submit
-                    # (collector raced us on a fatal) — fail the ticket
-                    # rather than strand it.
+                    # The collector retired the pool between lookup and
+                    # submit — fail the ticket rather than strand it.
                     self._unroute(ticket)
                     self._loop.call_soon(
                         self._resolve, ticket, None, ServiceError(
@@ -455,17 +433,17 @@ class MaskOptDaemon:
                 progressed = True
 
     def _pool_for(self, key: tuple, spec: EngineSpec) -> WorkStealingPool:
-        """The warm pool for an engine spec, spawning it on first use.
-        Event-loop only (so there is no create race); the lock covers
-        readers on other threads."""
+        """The warm pool for an engine spec, spawning it on first use and
+        after the collector retired it (a truly broken spec then fails
+        the same way again).  Event-loop only (so there is no create
+        race); the lock covers readers on other threads."""
         with self._pools_lock:
             pool = self._pools.get(key)
-        if pool is not None:
+        if pool is not None and not pool.closed:
             return pool
         pool = WorkStealingPool(
-            spec, self.workers, start_method=self.start_method,
-            dispatch=self.dispatch, relay=self._relay, grace_s=self.grace_s,
-            stall_timeout_s=self.stall_timeout_s,
+            spec, self.workers, dispatch=self.dispatch, relay=self._relay,
+            grace_s=self.grace_s, stall_timeout_s=self.stall_timeout_s,
             fault_plan=self.fault_plan,
         )
         pool.start()
@@ -475,149 +453,38 @@ class MaskOptDaemon:
 
     # -- collector thread ----------------------------------------------------
     def _collect(self) -> None:
-        """Drain the shared relay of every pool: route payloads, fail
-        errored tickets, revive crashed workers, dispatch due retries,
-        and declare missed deadlines."""
-        while True:
-            try:
-                pool, message = self._relay.get(timeout=POLL_INTERVAL_S)
-            except queue_mod.Empty:
-                if self._stop_collector.is_set():
-                    return
-                self._sweep_liveness()
-                continue
-            fresh = pool.observe(message)
-            kind, wid, task_id, payload = message
-            if kind == "ok" and fresh:
-                entry = self._unroute(task_id)
-                if entry is not None:
-                    request, _ = entry
-                    if request.verify:
-                        self._verify_inbox.put((task_id, request, payload))
-                    else:
-                        self._finish(task_id, request, payload, {}, False)
-            elif kind == "error" and fresh:
-                entry = self._unroute(task_id)
-                if entry is not None:
-                    request, _ = entry
-                    self._resolve_soon(task_id, error=ServiceError(
-                        f"{request.engine_label} failed optimizing clip "
-                        f"{request.clip.name!r}: {payload}"
-                    ))
-            elif kind in ("fatal", "corrupt"):
-                self._fail_pool(pool, kind, payload)
-            # "ready" / "exit" are liveness bookkeeping, folded in above;
-            # a stale ok/error (fresh=False) was a duplicate from a retry
-            # race and is dropped so each ticket resolves exactly once.
-            # Steady message traffic must not starve retry dispatch,
-            # deadline scans, or crash detection.
-            if time.monotonic() - self._last_sweep >= POLL_INTERVAL_S:
-                self._sweep_liveness()
+        """Run the pools' consumer policy and route each resolution to
+        the verifier or to its future; drop pools the policy retired."""
+        while not self._stop_collector.is_set():
+            with self._pools_lock:
+                pools = list(self._pools.values())
+            for resolution in drive(self._relay, pools):
+                self._route(resolution)
+            retired = [pool for pool in pools if pool.closed]
+            if retired:
+                with self._pools_lock:
+                    for key, pool in list(self._pools.items()):
+                        if pool in retired:
+                            del self._pools[key]
 
-    def _pump_pools(self) -> None:
-        """Dispatch due retries and surface missed deadlines on every
-        pool.  Collector-thread only."""
-        with self._pools_lock:
-            pools = list(self._pools.values())
-        for pool in pools:
-            for event in pool.pump():
-                if event.kind != "deadline":
-                    continue
-                task = event.task
-                self._unroute(task.task_id)
-                self._count("deadline_exceeded")
-                self._resolve_soon(task.task_id, error=DeadlineExceeded(
-                    f"request for clip {task.clip.name!r} "
-                    f"({pool.spec.label}) missed its {task.deadline_s}s "
-                    "deadline"
-                ))
-
-    def _sweep_liveness(self) -> None:
-        """Poll pass: declare crashed workers, requeue or fail the ticket
-        each one had claimed, revive the slot, and pump retry/deadline
-        state — the daemon keeps serving."""
-        self._last_sweep = time.monotonic()
-        self._pump_pools()
-        with self._pools_lock:
-            pools = list(self._pools.values())
-        for pool in pools:
-            for dead in pool.check_dead():
-                if dead.requeued:
-                    # The claimed task went back on the retry heap with
-                    # budget left; the ticket stays routed and will be
-                    # re-dispatched by pump() after its backoff.
-                    self._count("retried")
-                elif dead.task is not None:
-                    self._unroute(dead.task.task_id)
-                    if dead.task.retries > 0:
-                        self._count("retries_exhausted")
-                        error: ServiceError = RetriesExhausted(
-                            f"worker {dead.worker_id} ({pool.spec.label}) "
-                            f"died with exit code {dead.exitcode} while "
-                            f"optimizing clip {dead.task.clip.name!r}; "
-                            f"retries exhausted after "
-                            f"{dead.task.attempt + 1} attempts"
-                        )
-                    else:
-                        error = ServiceError(
-                            f"worker {dead.worker_id} ({pool.spec.label}) "
-                            f"died with exit code {dead.exitcode} while "
-                            f"optimizing clip {dead.task.clip.name!r}"
-                        )
-                    self._resolve_soon(dead.task.task_id, error=error)
-                if pool.stats()["workers_revived"] >= self.max_revives:
-                    self._fail_pool(
-                        pool, "crash",
-                        f"workers died {self.max_revives} times "
-                        f"(last: worker {dead.worker_id}, exit code "
-                        f"{dead.exitcode})",
-                    )
-                    break
-                try:
-                    pool.revive(dead.worker_id)
-                except ServiceError:
-                    pass  # slot came back by other means; keep serving
-
-    def _fail_pool(self, pool: WorkStealingPool, kind: str, payload) -> None:
-        """An engine spec cannot serve (build failed / stream corrupted):
-        fail everything routed to its pool and retire it.  Queued
-        requests for the spec will respawn a pool on next dispatch (and
-        fail the same way if the spec is truly broken)."""
-        if pool in self._failed_pools:
+    def _route(self, resolution: Resolution) -> None:
+        ticket = resolution.task.task_id
+        request = self._unroute(ticket)
+        if request is None:
             return
-        self._failed_pools.add(pool)
-        reason = {
-            "fatal": "could not build its engine",
-            "corrupt": "corrupted its result stream",
-            "crash": "lost its workers repeatedly",
-        }[kind]
-        with self._routed_lock:
-            doomed = [
-                ticket for ticket, (_, routed_pool) in self._routed.items()
-                if routed_pool is pool
-            ]
-            for ticket in doomed:
-                del self._routed[ticket]
-        exc = ServiceError(
-            f"engine pool {pool.spec.label!r} {reason}: {payload}"
-        )
-        for ticket in doomed:
-            self._resolve_soon(ticket, error=exc)
-        assert self._loop is not None
-        try:
-            self._loop.call_soon_threadsafe(self._drop_pool, pool)
-        except RuntimeError:
-            pass  # loop closed mid-shutdown
-        pool.shutdown(graceful=False, timeout=1.0)
+        error = resolution.error
+        if error is not None:
+            if isinstance(error, RetriesExhausted):
+                self._count("retries_exhausted")
+            elif isinstance(error, DeadlineExceeded):
+                self._count("deadline_exceeded")
+            self._resolve_soon(ticket, error=error)
+        elif request.verify:
+            self._verify_inbox.put((ticket, request, resolution.outcome))
+        else:
+            self._finish(ticket, request, resolution.outcome, {}, False)
 
-    def _drop_pool(self, pool: WorkStealingPool) -> None:
-        with self._pools_lock:
-            for key, candidate in list(self._pools.items()):
-                if candidate is pool:
-                    del self._pools[key]
-        self._dispatch()
-
-    def _unroute(self, ticket) -> tuple[OptRequest, WorkStealingPool] | None:
+    def _unroute(self, ticket) -> OptRequest | None:
         with self._routed_lock:
             return self._routed.pop(ticket, None)
 
@@ -840,6 +707,7 @@ class MaskOptDaemon:
             in_flight = len(self._routed)
         with self._pools_lock:
             pool_stats = [pool.stats() for pool in self._pools.values()]
+        counters["retried"] = sum(p["tasks_retried"] for p in pool_stats)
         tenants = {
             tenant: {
                 "outstanding": self._tenant_outstanding.get(tenant, 0),

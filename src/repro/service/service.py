@@ -373,7 +373,7 @@ class MaskOptService:
         :class:`~repro.litho.simulator.LithoConfig`, including
         ``spectra_store=``, so all workers warm one on-disk kernel-
         spectra store).  Workers pull clips from a shared work-stealing
-        queue (``dispatch="static"`` restores the PR 5 round-robin deal
+        queue (``dispatch="static"`` deals them round-robin instead,
         for A/B benchmarking), so skewed suites load-balance.  As
         outcomes stream back, every one joins the shape-binned scheduler
         and any bin reaching ``stream_min_bin`` masks (default
@@ -382,7 +382,9 @@ class MaskOptService:
         terminal flush drains the remainder.  Results are bit-for-bit
         identical to the sequential sweep: sharding and work stealing
         reorder work, never numbers.  ``workers=1`` runs inline (no
-        processes) through the identical code path.
+        processes) through the identical code path, unless
+        ``deadline_s``, ``stall_timeout_s`` or ``fault_plan`` is set:
+        those run one worker process, which can be killed.
 
         Returns one :class:`OptResult` per clip, in clip order; the
         ``raw_outcome`` of each is the streamed picklable

@@ -5,8 +5,8 @@
 a single-core sequential loop — the litho FFTs release the GIL under the
 scipy backend, yet the surrounding python (policy forwards, geometry,
 metrology) serializes.  :class:`ShardedSuiteRunner` breaks that limit by
-fanning one engine's clip list out to N worker *processes* pulling from
-a shared :class:`~repro.service.workqueue.WorkStealingPool` queue:
+fanning one engine's clip list out to N worker *processes* of a
+:class:`~repro.service.workqueue.WorkStealingPool`:
 
 * **Spawn-safe by construction.**  Workers are started with the
   ``spawn`` method (the only start method that is safe everywhere and
@@ -20,29 +20,23 @@ a shared :class:`~repro.service.workqueue.WorkStealingPool` queue:
   and atomically write one on-disk kernel-spectra store: the first
   worker to meet a grid shape persists its band spectra and every other
   worker's build becomes one ``.npz`` read (:mod:`repro.litho.store`).
-* **Work-stealing dispatch.**  Clips sit on one shared task queue and
-  each worker pulls its next clip the moment it finishes the previous
-  one, so heterogeneous suites (mixed grid sizes, early-exiting clips)
-  load-balance themselves instead of leaving one round-robin shard with
-  the expensive tail (``dispatch="static"`` retains the PR 5 deal as
-  the benchmark baseline).
 * **Streaming results.**  Each finished clip is flattened into a
   picklable :class:`OptOutcome` (reported numbers + the rasterized final
-  mask) and put on a queue *immediately*, so the parent can verify full
-  shape bins while workers are still optimizing
+  mask) and handed to ``on_outcome`` *immediately*, so the parent can
+  verify full shape bins while workers are still optimizing
   (:meth:`~repro.service.scheduler.ShapeBinScheduler.flush_ready`).
 * **Numbers never change.**  Sharding reorders *work*, not computation:
   each ``optimize(clip)`` runs against a freshly built engine/simulator
   pair that is bit-for-bit deterministic from the spec, and the mask is
   rasterized on the same per-clip grid the parent would use — so *which*
-  worker runs a clip is irrelevant and work stealing preserves the
-  bit-for-bit pin (``tests/test_service_sharding.py``).  (This requires
-  engines whose ``optimize`` is per-clip deterministic and stateless
-  across calls — true of every registry engine.)
-* **Crashes fail loudly.**  A worker that dies mid-suite (OOM kill,
-  segfault, ``os._exit``) is detected by the pool's liveness poll and
-  surfaces as a :class:`~repro.errors.ServiceError` naming the claimed
-  clip; the queue can never hang and sibling workers are torn down.
+  worker runs a clip is irrelevant (``tests/test_service_sharding.py``).
+  (This requires engines whose ``optimize`` is per-clip deterministic
+  and stateless across calls — true of every registry engine.)
+* **One consumer policy, fail-fast.**  Retries, revivals, deadlines and
+  dedup are the pool's (:func:`~repro.service.workqueue.drive`, shared
+  with the daemon); :meth:`ShardedSuiteRunner.run` only collects
+  outcomes and raises the first failed clip's typed error, with sibling
+  workers torn down before the raise.
 """
 
 from __future__ import annotations
@@ -54,7 +48,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from repro.errors import DeadlineExceeded, RetriesExhausted, ServiceError
+from repro.errors import ServiceError
 from repro.geometry.layout import Clip
 from repro.litho.simulator import LithoConfig, LithographySimulator
 from repro.service.registry import (
@@ -66,12 +60,10 @@ from repro.service.registry import (
 from repro.service.scheduler import final_mask_image
 from repro.service.workqueue import (
     CRASH_GRACE_S,
-    DEFAULT_START_METHOD,
-    POLL_INTERVAL_S,
     RETRY_BACKOFF_S,
-    DeadWorker,
     Task,
     WorkStealingPool,
+    check_delivery,
 )
 
 FINGERPRINT_EXCLUDED_LITHO_FIELDS = (
@@ -219,8 +211,8 @@ class ShardedSuiteRunner:
 
     With the default ``dispatch="steal"`` every worker pulls its next
     clip from one shared queue the moment it frees up, so load balances
-    even when clip costs are skewed; ``dispatch="static"`` retains the
-    PR 5 round-robin deal (worker ``w`` takes ``clips[w::N]``) as a
+    even when clip costs are skewed; ``dispatch="static"`` deals clips
+    round-robin (worker ``w`` takes ``clips[w::N]``) as a
     pinned-placement baseline.  :meth:`run` streams every finished clip
     through the ``on_outcome`` callback as it arrives (arrival order is
     nondeterministic) and returns the full outcome list in suite order
@@ -233,7 +225,6 @@ class ShardedSuiteRunner:
         self,
         spec: EngineSpec,
         workers: int,
-        start_method: str = DEFAULT_START_METHOD,
         dispatch: str = "steal",
         retries: int = 0,
         deadline_s: float | None = None,
@@ -241,24 +232,15 @@ class ShardedSuiteRunner:
         grace_s: float = CRASH_GRACE_S,
         retry_backoff_s: float = RETRY_BACKOFF_S,
         fault_plan=None,
-        max_revives: int | None = None,
     ) -> None:
         if not isinstance(spec, EngineSpec):
             raise ServiceError(
                 f"ShardedSuiteRunner needs an EngineSpec, got "
                 f"{type(spec).__name__}"
             )
-        if workers < 1:
-            raise ServiceError(f"workers must be >= 1, got {workers}")
-        if retries < 0:
-            raise ServiceError(f"retries must be >= 0, got {retries}")
-        if deadline_s is not None and deadline_s <= 0:
-            raise ServiceError(
-                f"deadline_s must be > 0, got {deadline_s}"
-            )
+        check_delivery(workers, dispatch, retries, deadline_s, stall_timeout_s)
         self.spec = spec
         self.workers = int(workers)
-        self.start_method = start_method
         self.dispatch = dispatch
         self.retries = int(retries)
         self.deadline_s = deadline_s
@@ -266,9 +248,6 @@ class ShardedSuiteRunner:
         self.grace_s = float(grace_s)
         self.retry_backoff_s = float(retry_backoff_s)
         self.fault_plan = fault_plan
-        self.max_revives = (
-            3 * self.workers if max_revives is None else int(max_revives)
-        )
         self.last_pool_stats: dict[str, Any] | None = None
 
     # -- in-process fallback -------------------------------------------------
@@ -279,12 +258,12 @@ class ShardedSuiteRunner:
         on_outcome,
         capture_masks: bool,
     ) -> list[OptOutcome]:
-        """workers=1: same spec-built engine and payloads, no processes
-        (also the zero-overhead baseline the shard benchmark times).
-        ``spec.seed`` is honored exactly as a single spawned worker
-        would honor it, but under save/restore — reseeding numpy's
-        global RNG in the caller's process as a lasting side effect
-        would corrupt unrelated code."""
+        """One worker and no delivery limits: same spec-built engine and
+        payloads, no processes (also the zero-overhead baseline the shard
+        benchmark times).  ``spec.seed`` is honored exactly as a single
+        spawned worker would honor it, but under save/restore — reseeding
+        numpy's global RNG in the caller's process as a lasting side
+        effect would corrupt unrelated code."""
         saved_rng_state = None
         if self.spec.seed is not None:
             saved_rng_state = np.random.get_state()
@@ -321,137 +300,53 @@ class ShardedSuiteRunner:
         finishes — this is where the service hooks streaming
         verification.  ``capture_masks=False`` tells workers not to
         rasterize/ship final masks (for verification-free sweeps the
-        parent would discard them).  Raises :class:`ServiceError` if any
-        worker raises or dies; sibling workers are terminated before the
-        raise, so the caller never inherits a half-alive fleet.
+        parent would discard them).  Raises the first failed clip's
+        :class:`ServiceError` (``RetriesExhausted`` / ``DeadlineExceeded``
+        when typed); sibling workers are terminated before the raise, so
+        the caller never inherits a half-alive fleet.
+
+        A one-worker sweep runs inline unless a deadline, stall timeout
+        or fault plan is set: those need a worker process that can be
+        killed.
         """
         clip_list = list(clips)
         if not clip_list:
             raise ServiceError("sharded run needs at least one clip")
         kwargs = dict(optimize_kwargs or {})
+        self.last_pool_stats = None
         workers = min(self.workers, len(clip_list))
-        if workers == 1:
+        if workers == 1 and self.deadline_s is None \
+                and self.stall_timeout_s is None and self.fault_plan is None:
             return self._run_inline(
                 clip_list, kwargs, on_outcome, capture_masks
             )
 
-        # The pool's relay thread owns all pipe reads: a worker
-        # SIGKILLed mid-payload-write (torn queue frame) can only wedge
-        # that abandonable daemon thread, while this loop polls the
-        # in-process relay with real timeouts and still reaches the
-        # liveness check — the sweep fails with ServiceError instead of
-        # hanging.
         pool = WorkStealingPool(
-            self.spec, workers, start_method=self.start_method,
-            dispatch=self.dispatch, grace_s=self.grace_s,
-            fault_plan=self.fault_plan,
+            self.spec, workers, dispatch=self.dispatch,
+            grace_s=self.grace_s, fault_plan=self.fault_plan,
             stall_timeout_s=self.stall_timeout_s,
             retry_backoff_s=self.retry_backoff_s,
         )
         outcomes: list[OptOutcome | None] = [None] * len(clip_list)
-        revives_used = 0
+        pending = len(clip_list)
         try:
             pool.start()
             for index, clip in enumerate(clip_list):
-                pool.submit(
-                    Task(
-                        task_id=index, clip=clip, optimize_kwargs=kwargs,
-                        capture_mask=capture_masks,
-                        retries=self.retries, deadline_s=self.deadline_s,
-                    ),
-                    worker=(
-                        index % workers if self.dispatch == "static" else None
-                    ),
-                )
-            pending = len(clip_list)
+                pool.submit(Task(
+                    task_id=index, clip=clip, optimize_kwargs=kwargs,
+                    capture_mask=capture_masks,
+                    retries=self.retries, deadline_s=self.deadline_s,
+                ))
             while pending > 0:
-                message = pool.get_message(timeout=POLL_INTERVAL_S)
-                if message is None:
-                    revives_used = self._handle_deaths(pool, revives_used)
-                else:
-                    fresh = pool.observe(message)
-                    kind, wid, task_id, payload = message
-                    if not fresh:
-                        pass  # late sibling of a retried/deadlined task
-                    elif kind == "ok":
-                        outcomes[task_id] = payload
-                        pending -= 1
-                        if on_outcome is not None:
-                            on_outcome(task_id, payload)
-                    elif kind == "error":
-                        # Engine exceptions are deterministic — a retry
-                        # would fail identically, so surface immediately.
-                        clip = clip_list[task_id]
-                        raise ServiceError(
-                            f"shard worker {wid} failed optimizing clip "
-                            f"{clip.name!r} ({self.spec.label}): {payload}"
-                        )
-                    elif kind == "fatal":
-                        raise ServiceError(
-                            f"shard worker {wid} could not build engine "
-                            f"{self.spec.label!r}: {payload}"
-                        )
-                    elif kind == "corrupt":
-                        raise ServiceError(
-                            f"shard result stream corrupted "
-                            f"({self.spec.label}): {payload}"
-                        )
-                    # "ready" / "exit" are liveness bookkeeping, already
-                    # folded in by pool.observe.
-                for event in pool.pump():
-                    if event.kind == "deadline":
-                        raise DeadlineExceeded(
-                            f"clip {event.task.clip.name!r} "
-                            f"({self.spec.label}) missed its "
-                            f"{event.task.deadline_s}s deadline; "
-                            "sweep aborted"
-                        )
-        except BaseException:
+                for resolution in pool.poll():
+                    if resolution.error is not None:
+                        raise resolution.error
+                    index = resolution.task.task_id
+                    outcomes[index] = resolution.outcome
+                    pending -= 1
+                    if on_outcome is not None:
+                        on_outcome(index, resolution.outcome)
+        finally:
             self.last_pool_stats = pool.stats()
-            pool.shutdown(graceful=False)
-            raise
-        self.last_pool_stats = pool.stats()
-        pool.shutdown(graceful=True)
-        assert all(outcome is not None for outcome in outcomes)
+            pool.shutdown(graceful=pending == 0)
         return outcomes  # type: ignore[return-value]
-
-    def _handle_deaths(
-        self, pool: WorkStealingPool, revives_used: int
-    ) -> int:
-        """Fold dead-worker verdicts into the sweep: revive workers whose
-        task was requeued (or who died idle — e.g. crashed *after* their
-        result landed), fail the sweep when a task is out of retries or
-        the revive budget is spent."""
-        for dead in pool.check_dead():
-            if dead.task is not None and not dead.requeued:
-                if dead.task.retries > 0:
-                    raise RetriesExhausted(
-                        f"shard worker {dead.worker_id} ({self.spec.label}) "
-                        f"died with exit code {dead.exitcode} while "
-                        f"optimizing clip {dead.task.clip.name!r}; retries "
-                        f"exhausted after {dead.task.attempt + 1} attempts; "
-                        "sweep aborted"
-                    )
-                raise self._death_error(dead)
-            if revives_used >= self.max_revives:
-                raise ServiceError(
-                    f"shard pool ({self.spec.label}) lost its workers "
-                    f"repeatedly ({revives_used} revivals); worker "
-                    f"{dead.worker_id} died with exit code "
-                    f"{dead.exitcode}; sweep aborted"
-                )
-            pool.revive(dead.worker_id)
-            revives_used += 1
-        return revives_used
-
-    def _death_error(self, dead: DeadWorker) -> ServiceError:
-        """A worker died without a clean ``exit`` message."""
-        where = (
-            f"while optimizing clip {dead.task.clip.name!r}"
-            if dead.task is not None
-            else "with no claimed clip (between tasks)"
-        )
-        return ServiceError(
-            f"shard worker {dead.worker_id} ({self.spec.label}) died with "
-            f"exit code {dead.exitcode} {where}; sweep aborted"
-        )

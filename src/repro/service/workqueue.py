@@ -1,51 +1,56 @@
-"""Shared work-stealing task queue + persistent warm worker pools.
+"""Persistent warm worker pools and the one consumer policy over them.
 
-PR 5's :class:`~repro.service.sharding.ShardedSuiteRunner` dealt clips
-round-robin at start-up: worker ``w`` owned ``clips[w::N]`` for the whole
-sweep.  That is perfectly balanced only when every clip costs the same;
-a heterogeneous suite (mixed grid sizes, early-exiting clips) leaves one
-worker grinding through the expensive tail while its siblings idle.
-:class:`WorkStealingPool` replaces the static deal with one **shared
-task queue**: every worker pulls its next :class:`Task` the moment it
-finishes the previous one, so load balances itself no matter how skewed
-the suite is.  Because the service's results are order-independent (each
-``optimize(clip)`` is deterministic from the spec alone, and
-verification measurements are batch-composition independent), moving a
-clip from one worker to another changes *wall-clock*, never a number —
-the bit-for-bit contract survives unchanged.
-
-The pool is also **persistent**: unlike the per-sweep fleets of PR 5, a
-pool outlives any one suite.  Workers build their engine once (warming
-from the shared kernel-spectra store) and then block on the queue, so an
+:class:`WorkStealingPool` runs N worker processes that each build their
+engine once (warming from the shared kernel-spectra store) and then pull
+:class:`Task` records off a **shared task queue**: a worker takes its
+next clip the moment it finishes the previous one, so a skewed suite
+(mixed grid sizes, early-exiting clips) balances itself.  Because each
+``optimize(clip)`` is deterministic from the spec alone and verification
+is batch-composition independent, moving a clip between workers changes
+wall-clock, never a number.  A pool outlives any one suite, so the
 always-on daemon (:mod:`repro.service.daemon`) keeps warm workers across
-requests instead of paying spawn + engine build per sweep.
+requests.
 
-Delivery semantics (PR 7)
--------------------------
+Consumer policy
+---------------
 
-The pool is **at-least-once with exactly-once results**.  A task whose
-worker dies mid-run is *re-enqueued* (up to ``task.retries`` extra
-attempts, with exponential backoff), not failed; because every engine is
-deterministic from its :class:`~repro.service.sharding.EngineSpec`, the
-retried clip produces a bit-for-bit identical outcome on whichever
-worker picks it up.  Results are deduplicated by task id: once a task
-has completed, failed, or missed its deadline, any late ``ok``/``error``
-for the same id is dropped (``observe`` returns ``False``), so a retry
-can never double-report and a deadline failure can never be followed by
-a surprise success.  Per-task deadlines and a stall detector (a claim
-held unchanged for longer than ``stall_timeout_s`` gets its worker
-killed) convert hung workers into the same retriable fault as a crash.
+Both front doors — the synchronous sweep
+(:class:`~repro.service.sharding.ShardedSuiteRunner`) and the daemon's
+collector thread — consume pools through one function, :func:`drive`.
+Each call folds at most one relayed worker message and then sweeps the
+pools; what comes back is a list of :class:`Resolution` records, one per
+task that ended, each carrying either the task's outcome or a typed
+:class:`~repro.errors.ServiceError` naming its clip.  The policy:
+
+* ``ok`` / ``error`` resolve their task.  Engine exceptions are never
+  retried: a deterministic engine would fail identically.
+* ``fatal`` (a worker could not build its engine) and ``corrupt`` (a
+  torn pipe frame) **retire** the pool: every task it still holds is
+  resolved with an error, and the workers are terminated.
+* A worker that died without a clean ``exit`` has its claimed task
+  re-enqueued (up to ``task.retries`` extra attempts, exponential
+  backoff), or resolved with :class:`~repro.errors.RetriesExhausted`
+  (or a plain :class:`~repro.errors.ServiceError` for a task with no
+  retry budget).  The slot is then revived, until the pool's revive
+  budget of ``3 × workers`` is spent; the next death retires the pool.
+* A task past its wall-clock ``deadline_s`` is resolved with
+  :class:`~repro.errors.DeadlineExceeded`; a claim held unchanged for
+  longer than ``stall_timeout_s`` gets its worker killed, which then
+  flows through the death path like any crash.
+
+Sweeps run on every idle poll and at least every
+:data:`POLL_INTERVAL_S` under steady traffic.  Delivery is
+**at-least-once with exactly-once results**: once a task resolved, any
+late ``ok``/``error`` for it (a retry's sibling, a result that outlived
+its deadline) is dropped and counted in ``duplicates_dropped``.
 
 Threading contract
 ------------------
 
-* ``submit`` may be called from any thread (it only touches the task
-  registry under a lock and the queue's feeder thread).
-* Exactly **one** consumer thread drives ``get_message`` / ``observe`` /
-  ``check_dead`` / ``pump`` / ``revive`` / ``shutdown`` — the sweep loop
-  in :class:`~repro.service.sharding.ShardedSuiteRunner`, or the
-  daemon's collector thread.  All liveness, retry, and in-flight state
-  is owned by that thread.
+* ``submit`` may be called from any thread.
+* Exactly one consumer thread calls :func:`drive` (or
+  :meth:`WorkStealingPool.poll`) and ``shutdown``; it owns all liveness,
+  retry and in-flight state.
 
 Liveness
 --------
@@ -54,25 +59,21 @@ A worker whose process has an exit code but which never sent its clean
 ``exit`` message is *suspected* dead; because its final messages may
 still be buffered in the pipe, the suspicion only becomes a verdict
 after a grace window with no message from that worker.  **Any** message
-from the worker resets the window (PR 5 started the window at the first
-dry poll and never reset it, so a cleanly-finished worker whose large
-mask payloads took longer than the grace period to drain was declared
-crashed mid-sweep — the false positive this module fixes).  The grace
-window also orders crash-after-result correctly: the completed payload
-drains off the pipe (and dedup-registers its task as finished) before
-the death verdict lands, so the verdict carries no task and triggers no
-recompute.
+from the worker resets the window, so a healthy worker slowly draining
+large mask payloads is never declared crashed.  The window also orders
+crash-after-result correctly: the completed payload drains off the pipe
+and resolves its task before the death verdict lands, so the verdict
+carries no task and triggers no recompute.
 
 Dispatch modes
 --------------
 
 ``dispatch="steal"`` (the default) is the shared queue described above.
-``dispatch="static"`` gives each worker a private queue and routes tasks
-to an explicit worker slot — PR 5's round-robin deal, retained as the
-baseline the work-stealing benchmark (``benchmarks/bench_daemon.py``)
-measures against and as an escape hatch for workloads that want
-placement pinned.  A retried task goes back to its original slot under
-static dispatch, and to the shared queue under stealing.
+``dispatch="static"`` gives each worker a private queue and deals
+submitted tasks to the slots round-robin — the pinned-placement baseline
+that ``benchmarks/bench_daemon.py`` measures stealing against.  A
+retried task goes back to its original slot under static dispatch, and
+to the shared queue under stealing.
 """
 
 from __future__ import annotations
@@ -85,11 +86,11 @@ import threading
 import time
 import traceback
 from dataclasses import dataclass, field, replace
-from typing import Any
+from typing import Any, Iterable
 
 import numpy as np
 
-from repro.errors import ServiceError
+from repro.errors import DeadlineExceeded, RetriesExhausted, ServiceError
 from repro.geometry.layout import Clip
 from repro.service.faults import install_fault_plan, maybe_fault
 
@@ -119,14 +120,12 @@ class Task:
 
     ``task_id`` is the caller's correlation key (the sharded runner uses
     the clip's suite index; the daemon uses the request ticket) — it
-    comes back verbatim on the ``ok``/``error`` message and is the dedup
-    key for retries.  ``retries`` is the number of *extra* attempts the
-    pool may make after an infrastructure fault (worker crash or stall
-    kill — engine exceptions are never retried, determinism makes that
-    futile); ``attempt`` counts from 0 and is bumped on each re-enqueue.
+    comes back on the task's :class:`Resolution` and is the dedup key
+    for retries.  ``retries`` is the number of *extra* attempts the pool
+    may make after an infrastructure fault (worker crash or stall kill);
+    ``attempt`` counts from 0 and is bumped on each re-enqueue.
     ``deadline_s`` is a wall-clock budget from submission; once elapsed
-    the task fails with a deadline event whether queued, running, or
-    waiting out a backoff.
+    the task fails whether queued, running, or waiting out a backoff.
     """
 
     task_id: int
@@ -139,30 +138,58 @@ class Task:
 
 
 @dataclass(frozen=True)
-class DeadWorker:
-    """A worker declared crashed: exit code + whatever it was running.
+class Resolution:
+    """How one task ended: its ``outcome`` (an
+    :class:`~repro.service.sharding.OptOutcome`), or the ``error`` that
+    failed it, a :class:`~repro.errors.ServiceError` naming the clip."""
 
-    ``requeued`` says what happened to the claimed task: ``True`` — it
-    had retry budget left and is back on the queue (the consumer should
-    revive the worker and move on); ``False`` — it is failed for good
-    (no task, or retries exhausted).
-    """
-
-    worker_id: int
-    exitcode: int | None
-    task: Task | None
-    requeued: bool = False
-
-
-@dataclass(frozen=True)
-class TaskEvent:
-    """A task-level verdict surfaced by :meth:`WorkStealingPool.pump`.
-
-    ``kind`` is currently only ``"deadline"``: the task's wall-clock
-    budget elapsed and it has been failed (late results are deduped)."""
-
-    kind: str
     task: Task
+    outcome: Any = None
+    error: ServiceError | None = None
+
+
+def check_delivery(
+    workers: int,
+    dispatch: str = "steal",
+    retries: int = 0,
+    deadline_s: float | None = None,
+    stall_timeout_s: float | None = None,
+) -> None:
+    """Validate the pool and delivery arguments every front door takes."""
+    if workers < 1:
+        raise ServiceError(f"workers must be >= 1, got {workers}")
+    if dispatch not in DISPATCH_MODES:
+        raise ServiceError(
+            f"dispatch must be one of {DISPATCH_MODES}, got {dispatch!r}"
+        )
+    if retries < 0:
+        raise ServiceError(f"retries must be >= 0, got {retries}")
+    if deadline_s is not None and not deadline_s > 0:
+        raise ServiceError(f"deadline_s must be > 0, got {deadline_s}")
+    if stall_timeout_s is not None and not stall_timeout_s > 0:
+        raise ServiceError(
+            f"stall_timeout_s must be > 0, got {stall_timeout_s}"
+        )
+
+
+def drive(
+    relay: queue_mod.Queue,
+    pools: Iterable[WorkStealingPool],
+    timeout: float = POLL_INTERVAL_S,
+) -> list[Resolution]:
+    """One step of the consumer policy over ``pools``, which all feed
+    ``relay``: fold the next message (if one arrives within ``timeout``)
+    into the pool that sent it, then sweep every pool.  An idle poll
+    always sweeps; under traffic each pool sweeps at most once per
+    :data:`POLL_INTERVAL_S`.  Returns the tasks that ended."""
+    try:
+        source, message = relay.get(timeout=timeout)
+    except queue_mod.Empty:
+        source = None
+    resolutions = [] if source is None else source._fold(message)
+    for pool in pools:
+        resolutions += pool._sweep(force=source is None)
+    return resolutions
 
 
 def describe_error(exc: BaseException) -> str:
@@ -279,19 +306,20 @@ def _serve_tasks(
 class WorkStealingPool:
     """N persistent worker processes pulling from a shared task queue.
 
-    The pool owns the processes, the task/result queues, and the relay
-    thread that drains the multiprocessing queue onto an in-process one
-    (so a worker SIGKILLed mid-payload-write — a torn pipe frame — can
-    only wedge the abandonable relay thread, never the consumer; the
-    consumer's polls keep reaching the liveness check and the failure
-    surfaces instead of hanging).
+    The pool owns the processes, the task/result queues, the revive
+    budget, and the relay thread that drains the multiprocessing queue
+    onto an in-process one (so a worker SIGKILLed mid-payload-write — a
+    torn pipe frame — can only wedge the abandonable relay thread, never
+    the consumer; the consumer's polls keep reaching the liveness sweep
+    and the failure surfaces instead of hanging).  Every relayed message
+    is tagged with its pool, so several pools can share one ``relay``
+    and one consumer (:func:`drive`).
     """
 
     def __init__(
         self,
         spec,
         workers: int,
-        start_method: str = DEFAULT_START_METHOD,
         dispatch: str = "steal",
         relay: queue_mod.Queue | None = None,
         grace_s: float = CRASH_GRACE_S,
@@ -306,25 +334,18 @@ class WorkStealingPool:
                 f"WorkStealingPool needs an EngineSpec, got "
                 f"{type(spec).__name__}"
             )
-        if workers < 1:
-            raise ServiceError(f"workers must be >= 1, got {workers}")
-        if dispatch not in DISPATCH_MODES:
-            raise ServiceError(
-                f"dispatch must be one of {DISPATCH_MODES}, got {dispatch!r}"
-            )
-        if stall_timeout_s is not None and stall_timeout_s <= 0:
-            raise ServiceError(
-                f"stall_timeout_s must be > 0, got {stall_timeout_s}"
-            )
+        check_delivery(workers, dispatch, stall_timeout_s=stall_timeout_s)
         self.spec = spec
         self.workers = int(workers)
         self.dispatch = dispatch
         self.grace_s = float(grace_s)
         self.stall_timeout_s = stall_timeout_s
         self.retry_backoff_s = float(retry_backoff_s)
+        # A worker that keeps dying (e.g. during bootstrap, before it can
+        # even send a "fatal") would otherwise be revived forever.
+        self.max_revives = 3 * self.workers
         self._fault_plan = fault_plan
-        self._ctx = mp.get_context(start_method)
-        self._external_relay = relay is not None
+        self._ctx = mp.get_context(DEFAULT_START_METHOD)
         self._relay: queue_mod.Queue = relay if relay is not None \
             else queue_mod.Queue()
         # SimpleQueue, not Queue, for the worker->parent channel: its
@@ -350,14 +371,13 @@ class WorkStealingPool:
         self._started = False
         self._closed = False
         # Task registry: submit() writes from any thread, the consumer
-        # thread removes on completion.  ``_finished`` is the dedup set:
-        # ids that completed, failed, or deadlined — late messages for
-        # them are dropped.
+        # thread removes on resolution.  A message for an id no longer
+        # here is a stale duplicate.
         self._tasks_lock = threading.Lock()
         self._tasks: dict[int, Task] = {}
-        self._finished: set[int] = set()
         self._deadline_at: dict[int, float] = {}
         self._slots: dict[int, int] = {}
+        self._next_slot = 0
         self._submitted = 0
         self._completed = 0
         self._failed = 0
@@ -370,11 +390,11 @@ class WorkStealingPool:
         self._ready: set[int] = set()
         self._exited: set[int] = set()
         self._dead_since: dict[int, float] = {}
-        self._dead_handled: set[int] = set()
         self._per_worker_done = [0] * self.workers
         self._retry_heap: list[tuple[float, int, Task]] = []
         self._retry_seq = 0
         self._claim_seen: dict[int, tuple[int, float]] = {}
+        self._last_sweep = 0.0
 
     # -- lifecycle -----------------------------------------------------------
     def start(self) -> None:
@@ -400,8 +420,7 @@ class WorkStealingPool:
         return proc
 
     def _queue_for(self, wid: int):
-        return self._task_queues[0 if self.dispatch == "steal"
-                                 else wid]
+        return self._task_queues[0 if self.dispatch == "steal" else wid]
 
     def _drain(self) -> None:
         """Relay thread: multiprocessing queue -> in-process queue."""
@@ -416,265 +435,228 @@ class WorkStealingPool:
                 # Closed queue on shutdown, or a misframed payload from
                 # a killed writer failing to unpickle.
                 if not self._stop_draining.is_set():
-                    self._put_relay(
-                        ("corrupt", None, None, describe_error(exc))
+                    self._relay.put(
+                        (self, ("corrupt", None, None, describe_error(exc)))
                     )
                 return
-            self._put_relay(message)
-
-    def _put_relay(self, message) -> None:
-        self._relay.put((self, message) if self._external_relay
-                        else message)
+            self._relay.put((self, message))
 
     # -- submission ----------------------------------------------------------
-    def submit(self, task: Task, worker: int | None = None) -> int:
-        """Queue a task; with ``dispatch="static"`` it goes to ``worker``'s
-        private queue (required), with ``"steal"`` to the shared one
-        (``worker`` must be omitted).  Thread-safe.
-        """
-        if not self._started or self._closed:
-            raise ServiceError("pool is not running")
-        if self.dispatch == "static":
-            if worker is None:
-                raise ServiceError(
-                    "static dispatch needs an explicit worker slot"
-                )
-            if not 0 <= worker < self.workers:
-                raise ServiceError(
-                    f"worker must be in [0, {self.workers}), got {worker}"
-                )
-        elif worker is not None:
-            raise ServiceError(
-                "work-stealing dispatch does not pin tasks to workers"
-            )
+    def submit(self, task: Task) -> int:
+        """Queue a task: on the shared queue under ``dispatch="steal"``,
+        or on the next slot's private queue (round-robin) under
+        ``"static"``.  Thread-safe."""
         with self._tasks_lock:
+            if not self._started or self._closed:
+                raise ServiceError("pool is not running")
             if task.task_id in self._tasks:
                 raise ServiceError(
                     f"task id {task.task_id} is already outstanding"
                 )
-            self._finished.discard(task.task_id)
             self._tasks[task.task_id] = task
             self._submitted += 1
             if task.deadline_s is not None:
                 self._deadline_at[task.task_id] = (
                     time.monotonic() + task.deadline_s
                 )
-            if self.dispatch == "static":
-                self._slots[task.task_id] = worker
-        target = self._task_queues[0 if self.dispatch == "steal" else worker]
-        target.put(task)
+            slot = self._next_slot % self.workers
+            self._next_slot += 1
+            self._slots[task.task_id] = slot
+        self._queue_for(slot).put(task)
         return task.task_id
-
-    def task_for(self, task_id: int) -> Task | None:
-        with self._tasks_lock:
-            return self._tasks.get(task_id)
 
     @property
     def outstanding(self) -> int:
-        """Tasks submitted but not yet completed or failed."""
+        """Tasks submitted but not yet resolved."""
         with self._tasks_lock:
             return len(self._tasks)
 
-    # -- message consumption (single consumer thread) ------------------------
-    def get_message(self, timeout: float = POLL_INTERVAL_S):
-        """Next relayed message, or ``None`` on timeout (only valid for
-        pools that own their relay; daemon pools share an external one
-        and the collector reads it directly)."""
-        if self._external_relay:
-            raise ServiceError(
-                "pool uses an external relay; read messages from it"
-            )
-        try:
-            return self._relay.get(timeout=timeout)
-        except queue_mod.Empty:
-            return None
+    @property
+    def closed(self) -> bool:
+        """Shut down, or retired by the consumer policy."""
+        return self._closed
 
-    def observe(self, message) -> bool:
-        """Fold one message into liveness/progress state.  The consumer
-        must call this for every message before acting on it.
+    # -- the consumer policy (single consumer thread) ------------------------
+    def poll(self, timeout: float = POLL_INTERVAL_S) -> list[Resolution]:
+        """:func:`drive` for a pool that owns its relay."""
+        return drive(self._relay, [self], timeout)
 
-        Returns ``False`` when the message is a *stale duplicate*: an
-        ``ok``/``error`` for a task that already finished, failed, or
-        deadlined (a retry's late sibling, or a result that outlived its
-        deadline).  The consumer must not act on a stale message — this
-        is the exactly-once half of the at-least-once contract.
-
-        Any message from a worker resets its crash-suspicion window —
-        a finished worker slowly draining large mask payloads is alive,
-        not crashed.
-        """
-        kind, wid, task_id, _ = message
-        if wid is None:
-            return True
+    def _fold(self, message) -> list[Resolution]:
+        """Fold one worker message; any message resets its sender's
+        crash-suspicion window."""
+        if self._closed:
+            return []
+        kind, wid, task_id, payload = message
+        if kind == "fatal":
+            return self._retire(f"could not build its engine: {payload}")
+        if kind == "corrupt":
+            return self._retire(f"corrupted its result stream: {payload}")
         self._dead_since.pop(wid, None)
         if kind == "ready":
             self._ready.add(wid)
-        elif kind in ("ok", "error"):
-            with self._tasks_lock:
-                task = self._tasks.pop(task_id, None)
-                if task is None:
-                    self._duplicates += 1
-                    return False
-                self._finished.add(task_id)
-                self._deadline_at.pop(task_id, None)
-                self._slots.pop(task_id, None)
-                if kind == "ok":
-                    self._completed += 1
-                else:
-                    self._failed += 1
-            if kind == "ok" and 0 <= wid < self.workers:
-                self._per_worker_done[wid] += 1
         elif kind == "exit":
             self._exited.add(wid)
-        return True
+        else:
+            task = self._settle(task_id, failed=kind == "error")
+            if task is None:
+                self._duplicates += 1
+            elif kind == "ok":
+                self._per_worker_done[wid] += 1
+                return [Resolution(task, outcome=payload)]
+            else:
+                return [Resolution(task, error=ServiceError(
+                    f"worker {wid} ({self.spec.label}) failed optimizing "
+                    f"clip {task.clip.name!r}: {payload}"
+                ))]
+        return []
 
-    def check_dead(self) -> list[DeadWorker]:
-        """Workers whose processes died without a clean ``exit`` and
-        whose grace window (since their *last* message) has elapsed.
-        Each dead worker is reported exactly once (``revive`` re-arms
-        its slot).
+    def _settle(self, task_id: int, failed: bool) -> Task | None:
+        """Take a task out of the registry; ``None`` if it already
+        resolved."""
+        with self._tasks_lock:
+            task = self._tasks.pop(task_id, None)
+            if task is None:
+                return None
+            self._deadline_at.pop(task_id, None)
+            self._slots.pop(task_id, None)
+            if failed:
+                self._failed += 1
+            else:
+                self._completed += 1
+        return task
 
-        A claimed task with retry budget left is **re-enqueued** (after
-        an exponential backoff, via :meth:`pump`) and the verdict says
-        ``requeued=True``; out of budget, the task is failed for good.
-        """
+    def _sweep(self, force: bool) -> list[Resolution]:
+        """Dispatch retries whose backoff elapsed, resolve missed
+        deadlines, kill stalled workers, and bury dead ones."""
         now = time.monotonic()
-        verdicts = []
-        for wid, proc in enumerate(self._procs):
-            if (
-                proc is None
-                or wid in self._exited
-                or wid in self._dead_handled
-                or proc.exitcode is None
-            ):
-                continue
-            first_seen = self._dead_since.setdefault(wid, now)
-            if now - first_seen < self.grace_s:
-                continue
-            self._dead_handled.add(wid)
-            self._claim_seen.pop(wid, None)
-            claimed = self._claims[wid]
-            task = None
-            requeued = False
-            if claimed != NO_CLAIM:
-                with self._tasks_lock:
-                    task = self._tasks.get(claimed)
-                    if task is not None and task.attempt < task.retries:
-                        requeued = True
-                        self._retried += 1
-                        # One object for both registry and heap: pump's
-                        # identity check drops a heap entry whose task
-                        # was superseded (deadline, later retry).
-                        bumped = replace(task, attempt=task.attempt + 1)
-                        self._tasks[claimed] = bumped
-                    elif task is not None:
-                        self._tasks.pop(claimed)
-                        self._finished.add(claimed)
-                        self._deadline_at.pop(claimed, None)
-                        self._slots.pop(claimed, None)
-                        self._failed += 1
-                if requeued:
-                    delay = self.retry_backoff_s * (2 ** task.attempt)
-                    self._retry_seq += 1
-                    heapq.heappush(
-                        self._retry_heap,
-                        (now + delay, self._retry_seq, bumped),
-                    )
-            verdicts.append(
-                DeadWorker(worker_id=wid, exitcode=proc.exitcode,
-                           task=task, requeued=requeued)
-            )
-        return verdicts
-
-    def pump(self) -> list[TaskEvent]:
-        """Advance retry and deadline state; the consumer calls this on
-        every loop iteration (messages and timeouts alike).
-
-        Three scans, all cheap when idle:
-
-        1. Re-dispatch retried tasks whose backoff elapsed.
-        2. Fail tasks whose wall-clock deadline elapsed (returned as
-           ``TaskEvent("deadline", task)``; late results are deduped).
-        3. Kill workers whose claim has sat unchanged for longer than
-           ``stall_timeout_s`` — the death then flows through
-           :meth:`check_dead` and the retry path like any crash.
-        """
-        now = time.monotonic()
-        events: list[TaskEvent] = []
-        # 1. backoffs that came due
+        if self._closed or (
+            not force and now - self._last_sweep < POLL_INTERVAL_S
+        ):
+            return []
+        self._last_sweep = now
         while self._retry_heap and self._retry_heap[0][0] <= now:
             _, _, task = heapq.heappop(self._retry_heap)
             with self._tasks_lock:
                 live = self._tasks.get(task.task_id) is task
                 slot = self._slots.get(task.task_id, 0)
-            if not live:
-                continue  # deadlined (or otherwise finished) while waiting
-            target = self._task_queues[
-                0 if self.dispatch == "steal" else slot
-            ]
-            target.put(task)
-        # 2. elapsed deadlines
-        expired: list[Task] = []
-        with self._tasks_lock:
-            for task_id, due_at in list(self._deadline_at.items()):
-                if now < due_at:
-                    continue
-                task = self._tasks.pop(task_id, None)
-                del self._deadline_at[task_id]
-                self._slots.pop(task_id, None)
-                if task is None:
-                    continue
-                self._finished.add(task_id)
-                self._deadline_failed += 1
-                self._failed += 1
-                expired.append(task)
-        events.extend(TaskEvent("deadline", task) for task in expired)
-        # 3. stalled claims
+            if live:  # not deadlined (or otherwise resolved) meanwhile
+                self._queue_for(slot).put(task)
+        resolutions = self._expire_deadlines(now)
         if self.stall_timeout_s is not None:
-            for wid, proc in enumerate(self._procs):
-                if proc is None or proc.exitcode is not None:
-                    continue
-                claimed = self._claims[wid]
-                if claimed == NO_CLAIM:
-                    self._claim_seen.pop(wid, None)
-                    continue
-                seen = self._claim_seen.get(wid)
-                if seen is None or seen[0] != claimed:
-                    self._claim_seen[wid] = (claimed, now)
-                    continue
-                if now - seen[1] < self.stall_timeout_s:
-                    continue
-                with self._tasks_lock:
-                    live = claimed in self._tasks
-                if live:
-                    proc.kill()
-                    self._stalled += 1
+            self._kill_stalled(now)
+        for wid, proc in enumerate(self._procs):
+            if proc is None or wid in self._exited or proc.exitcode is None:
+                continue
+            if now - self._dead_since.setdefault(wid, now) < self.grace_s:
+                continue
+            resolutions += self._requeue_claim(wid, proc.exitcode)
+            if self._revived >= self.max_revives:
+                return resolutions + self._retire(
+                    f"lost its workers repeatedly: workers died "
+                    f"{self._revived + 1} times (last: worker {wid}, exit "
+                    f"code {proc.exitcode})"
+                )
+            self._revive(wid)
+        return resolutions
+
+    def _expire_deadlines(self, now: float) -> list[Resolution]:
+        with self._tasks_lock:
+            due = [tid for tid, at in self._deadline_at.items() if now >= at]
+            self._deadline_failed += len(due)
+        resolutions = []
+        for task_id in due:
+            task = self._settle(task_id, failed=True)
+            resolutions.append(Resolution(task, error=DeadlineExceeded(
+                f"clip {task.clip.name!r} ({self.spec.label}) missed its "
+                f"{task.deadline_s}s deadline"
+            )))
+        return resolutions
+
+    def _kill_stalled(self, now: float) -> None:
+        """Kill workers whose claim sat unchanged past the stall timeout;
+        the death then flows through the crash path."""
+        for wid, proc in enumerate(self._procs):
+            if proc is None or proc.exitcode is not None:
+                continue
+            claimed = self._claims[wid]
+            if claimed == NO_CLAIM:
                 self._claim_seen.pop(wid, None)
-        return events
+                continue
+            seen = self._claim_seen.get(wid)
+            if seen is None or seen[0] != claimed:
+                self._claim_seen[wid] = (claimed, now)
+                continue
+            if now - seen[1] < self.stall_timeout_s:
+                continue
+            with self._tasks_lock:
+                live = claimed in self._tasks
+            if live:
+                proc.kill()
+                self._stalled += 1
+            self._claim_seen.pop(wid, None)
 
-    def revive(self, worker_id: int) -> None:
-        """Replace a dead worker's process so the pool keeps serving.
-
-        The replacement rebuilds its engine from the same spec (warming
-        from the shared spectra store, so the rebuild is cheap) and
-        pulls from the same queue(s) — queued tasks are unaffected.
-        """
-        if not 0 <= worker_id < self.workers:
-            raise ServiceError(f"no worker slot {worker_id}")
-        old = self._procs[worker_id]
-        if old is not None and old.exitcode is None:
-            raise ServiceError(
-                f"worker {worker_id} is still alive; nothing to revive"
+    def _requeue_claim(self, wid: int, exitcode: int) -> list[Resolution]:
+        """The task a dead worker held goes back on the queue after a
+        backoff, or — out of retry budget — fails naming its clip."""
+        claimed = self._claims[wid]
+        with self._tasks_lock:
+            task = self._tasks.get(claimed)
+            requeue = task is not None and task.attempt < task.retries
+            if requeue:
+                self._retried += 1
+                # One object for both registry and heap: the retry
+                # dispatch's identity check drops a heap entry whose
+                # task was superseded (deadline, later retry).
+                bumped = replace(task, attempt=task.attempt + 1)
+                self._tasks[claimed] = bumped
+        if task is None:
+            return []  # idle death, or it died after its result landed
+        if requeue:
+            delay = self.retry_backoff_s * (2 ** task.attempt)
+            self._retry_seq += 1
+            heapq.heappush(
+                self._retry_heap,
+                (time.monotonic() + delay, self._retry_seq, bumped),
             )
-        self._dead_since.pop(worker_id, None)
-        self._dead_handled.discard(worker_id)
-        self._exited.discard(worker_id)
-        self._ready.discard(worker_id)
-        self._claim_seen.pop(worker_id, None)
-        self._claims[worker_id] = NO_CLAIM
-        self._generation[worker_id] += 1
-        self._procs[worker_id] = self._spawn(worker_id)
+            return []
+        self._settle(claimed, failed=True)
+        where = (
+            f"worker {wid} ({self.spec.label}) died with exit code "
+            f"{exitcode} while optimizing clip {task.clip.name!r}"
+        )
+        if task.retries > 0:
+            return [Resolution(task, error=RetriesExhausted(
+                f"{where}; retries exhausted after {task.attempt + 1} "
+                "attempts"
+            ))]
+        return [Resolution(task, error=ServiceError(where))]
+
+    def _revive(self, wid: int) -> None:
+        """Replace a dead worker's process.  The replacement rebuilds its
+        engine from the same spec (warming from the shared spectra store,
+        so the rebuild is cheap) and pulls from the same queue(s)."""
+        self._dead_since.pop(wid, None)
+        self._exited.discard(wid)
+        self._ready.discard(wid)
+        self._claim_seen.pop(wid, None)
+        self._claims[wid] = NO_CLAIM
+        self._generation[wid] += 1
+        self._procs[wid] = self._spawn(wid)
         self._revived += 1
+
+    def _retire(self, reason: str) -> list[Resolution]:
+        """This pool cannot serve: resolve every task it holds with one
+        error naming the reason, and terminate its workers."""
+        with self._tasks_lock:
+            held = list(self._tasks.values())
+            self._tasks.clear()
+            self._deadline_at.clear()
+            self._slots.clear()
+            self._failed += len(held)
+            self._closed = True
+        self._stop(graceful=False, timeout=1.0)
+        error = ServiceError(f"engine pool {self.spec.label!r} {reason}")
+        return [Resolution(task, error=error) for task in held]
 
     # -- teardown ------------------------------------------------------------
     def shutdown(self, graceful: bool = True, timeout: float = 5.0) -> None:
@@ -682,18 +664,17 @@ class WorkStealingPool:
         per worker (FIFO after all queued tasks, so workers drain the
         queue first) and waits; either way every process is down and the
         queues are closed when this returns.  Idempotent."""
-        if self._closed:
-            return
-        self._closed = True
+        with self._tasks_lock:
+            if self._closed:
+                return
+            self._closed = True
+        self._stop(graceful, timeout)
+
+    def _stop(self, graceful: bool, timeout: float) -> None:
         if graceful and self._started:
-            if self.dispatch == "steal":
-                for wid in range(self.workers):
-                    if wid not in self._exited:
-                        self._task_queues[0].put(None)
-            else:
-                for wid, task_queue in enumerate(self._task_queues):
-                    if wid not in self._exited:
-                        task_queue.put(None)
+            for wid in range(self.workers):
+                if wid not in self._exited:
+                    self._queue_for(wid).put(None)
             deadline = time.monotonic() + timeout
             for proc in self._procs:
                 if proc is None:

@@ -483,7 +483,9 @@ class _FakeProc:
 class TestPoolLiveness:
     """The PR 5 false positive: the crash-suspicion window armed on the
     first dry poll and never reset, so a slow-draining healthy worker
-    was declared crashed.  Any message must reset the window."""
+    was declared crashed.  Any message must reset the window.  Driven
+    through the pool's own consumer step (``poll``) with a fake dead
+    process in slot 0; a revival spawns a fake live one."""
 
     def _pool(self, sim, grace_s):
         pool = WorkStealingPool(
@@ -491,43 +493,58 @@ class TestPoolLiveness:
             workers=1, grace_s=grace_s,
         )
         pool._procs[0] = _FakeProc(exitcode=9)
+        pool._spawn = lambda wid: _FakeProc(exitcode=None)
+        pool._started = True
         return pool
 
-    def test_message_resets_suspicion_window(self, sim):
+    @staticmethod
+    def _deliver(pool, message):
+        pool._relay.put((pool, message))
+        return pool.poll(timeout=0)
+
+    @staticmethod
+    def _claim(pool, task_id, clip):
+        from repro.service import Task
+
+        pool.submit(Task(task_id=task_id, clip=clip))
+        pool._claims[0] = task_id
+
+    def test_message_resets_suspicion_window(self, sim, mixed_suite):
         pool = self._pool(sim, grace_s=0.2)
-        assert pool.check_dead() == []  # suspicion armed, not elapsed
+        self._claim(pool, 5, mixed_suite[0])
+        assert pool.poll(timeout=0) == []  # suspicion armed, not elapsed
         time.sleep(0.25)
         # The worker's exitcode has been visible for longer than the
         # grace window — but a message just arrived, so it was alive
         # moments ago (its pipe is still draining).  Pre-fix code
         # declared it dead here.
-        pool.observe(("ok", 0, 7, None))
-        assert pool.check_dead() == []
+        assert self._deliver(pool, ("ok", 0, 7, None)) == []
+        assert pool.stats()["workers_revived"] == 0
         time.sleep(0.25)
-        dead = pool.check_dead()
-        assert [d.worker_id for d in dead] == [0]
-        assert dead[0].exitcode == 9
+        (dead,) = pool.poll(timeout=0)
+        assert "worker 0 " in str(dead.error)
+        assert "exit code 9" in str(dead.error)
 
     def test_dead_worker_reported_exactly_once(self, sim):
         pool = self._pool(sim, grace_s=0.0)
-        assert [d.worker_id for d in pool.check_dead()] == [0]
-        assert pool.check_dead() == []
+        assert pool.poll(timeout=0) == []
+        assert pool.stats()["workers_revived"] == 1
+        assert pool.poll(timeout=0) == []
+        assert pool.stats()["workers_revived"] == 1
 
     def test_clean_exit_is_never_suspected(self, sim):
         pool = self._pool(sim, grace_s=0.0)
-        pool.observe(("exit", 0, None, None))
-        assert pool.check_dead() == []
+        assert self._deliver(pool, ("exit", 0, None, None)) == []
+        assert pool.poll(timeout=0) == []
+        assert pool.stats()["workers_revived"] == 0
 
     def test_dead_worker_names_claimed_task(self, sim, mixed_suite):
-        from repro.service import Task
-
         pool = self._pool(sim, grace_s=0.0)
-        pool._started = True
-        pool.submit(Task(task_id=5, clip=mixed_suite[0]))
-        pool._claims[0] = 5
-        (dead,) = pool.check_dead()
+        self._claim(pool, 5, mixed_suite[0])
+        (dead,) = pool.poll(timeout=0)
         assert dead.task.task_id == 5
         assert dead.task.clip.name == mixed_suite[0].name
+        assert repr(mixed_suite[0].name) in str(dead.error)
 
 
 class TestVerificationAbortCleanup:

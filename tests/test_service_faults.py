@@ -1,7 +1,7 @@
 """Tests for the deterministic fault-injection harness and the
 at-least-once delivery semantics it exercises (repro/service/faults.py +
-the retry/deadline/stall machinery of workqueue.py, sharding.py,
-daemon.py).
+the pools' consumer policy in workqueue.py, which both the sharded
+sweep and the daemon run).
 
 The acceptance pins:
 
@@ -9,11 +9,12 @@ The acceptance pins:
   identical to an uninterrupted run — in both dispatch modes.
 * Retry exhaustion and missed deadlines are *typed* outcomes
   (``RetriesExhausted``, ``DeadlineExceeded``), distinguishable from
-  engine failures.
+  engine failures — through both front doors.
 * Every fault fires deterministically from a seeded :class:`FaultPlan` —
   no sleeps, no races, no luck.
 """
 
+import asyncio
 import os
 import pickle
 
@@ -32,6 +33,9 @@ from repro.service import (
     EngineSpec,
     FaultPlan,
     FaultRule,
+    MaskOptDaemon,
+    MaskOptService,
+    OptRequest,
     ShardedSuiteRunner,
     clear_fault_plan,
     install_fault_plan,
@@ -71,6 +75,57 @@ def _runner(plan=None, **kwargs):
     kwargs.setdefault("grace_s", 0.3)
     kwargs.setdefault("retry_backoff_s", 0.05)
     return ShardedSuiteRunner(_spec(), 2, fault_plan=plan, **kwargs)
+
+
+class _Sweep:
+    """The synchronous front door: one ``ShardedSuiteRunner`` sweep,
+    which raises the first failed clip's error."""
+
+    def __init__(self, plan=None, **kwargs):
+        self.runner = _runner(plan, **kwargs)
+
+    def run(self):
+        return self.runner.run(_suite(), optimize_kwargs={})
+
+    @property
+    def pool_stats(self):
+        return self.runner.last_pool_stats
+
+
+class _Serve:
+    """The daemon front door: the suite is submitted at once and the
+    results awaited in suite order, so the first failed clip raises."""
+
+    def __init__(self, plan=None, retries=0, deadline_s=None):
+        self.daemon_kwargs = dict(
+            litho_config=_litho_config(), workers=2, grace_s=0.3,
+            retries=retries, deadline_s=deadline_s, fault_plan=plan,
+        )
+        self.pool_stats = None
+
+    def run(self):
+        async def serve():
+            async with MaskOptDaemon(**self.daemon_kwargs) as daemon:
+                tickets = [
+                    await daemon.submit(OptRequest(
+                        clip=clip, engine="mbopc",
+                        engine_overrides=OVERRIDES,
+                    ))
+                    for clip in _suite()
+                ]
+                try:
+                    return [
+                        (await daemon.result(ticket)).raw_outcome
+                        for ticket in tickets
+                    ]
+                finally:
+                    pools = daemon.stats()["pools"]
+                    self.pool_stats = pools[0] if pools else None
+
+        return asyncio.run(serve())
+
+
+FRONT_DOORS = {"sweep": _Sweep, "daemon": _Serve}
 
 
 def assert_outcomes_identical(got, reference):
@@ -255,35 +310,63 @@ def test_crash_after_result_does_not_recompute(reference_outcomes):
     assert stats["duplicates_dropped"] == 0
 
 
-def test_retries_exhausted_is_typed():
+@pytest.mark.parametrize("front_door", sorted(FRONT_DOORS))
+def test_retries_exhausted_is_typed(front_door):
     """A clip that crashes its worker on every attempt fails with
     RetriesExhausted (a ServiceError subclass) naming clip and budget."""
     plan = FaultPlan([
         FaultRule(point="worker.before_result", action="crash",
                   match="fv1@", exit_code=41),
     ])
-    runner = _runner(plan, retries=1)
+    door = FRONT_DOORS[front_door](plan, retries=1)
     with pytest.raises(RetriesExhausted, match="'fv1'") as err:
-        runner.run(_suite(), optimize_kwargs={})
+        door.run()
     assert isinstance(err.value, ServiceError)
     assert "exit code 41" in str(err.value)
     assert "2 attempts" in str(err.value)
 
 
-def test_deadline_exceeded_is_typed():
-    """A hung worker holding a clip past its deadline fails the sweep
+@pytest.mark.parametrize("front_door", sorted(FRONT_DOORS))
+def test_deadline_exceeded_is_typed(front_door):
+    """A hung worker holding a clip past its deadline fails the clip
     with DeadlineExceeded, not a hang and not a generic error."""
     plan = FaultPlan([
         FaultRule(point="worker.optimize", action="stall",
                   match="fv1@", stall_s=30.0),
     ])
-    runner = _runner(plan, retries=2, deadline_s=0.8)
+    door = FRONT_DOORS[front_door](plan, retries=2, deadline_s=0.8)
     with pytest.raises(DeadlineExceeded, match="'fv1'"):
-        runner.run(_suite(), optimize_kwargs={})
+        door.run()
     # The deadline clock starts at dispatch, so clips queued behind the
     # stalled worker may blow the same budget — at least the stalled one
     # must be counted.
-    assert runner.last_pool_stats["tasks_deadline_failed"] >= 1
+    assert door.pool_stats["tasks_deadline_failed"] >= 1
+
+
+def test_one_worker_sweep_enforces_deadline():
+    """A one-worker sweep with a deadline runs in a killable worker
+    process instead of inline, so the deadline (and the fault plan) are
+    honoured rather than silently dropped."""
+    plan = FaultPlan([
+        FaultRule(point="worker.optimize", action="stall",
+                  match="fv1@", stall_s=30.0),
+    ])
+    service = MaskOptService(litho_config=_litho_config())
+    with pytest.raises(DeadlineExceeded, match="'fv1'"):
+        service.run_suite_sharded(
+            "mbopc", _suite(), workers=1, engine_overrides=OVERRIDES,
+            deadline_s=0.8, fault_plan=plan,
+        )
+
+
+def test_inline_run_resets_pool_stats():
+    """An inline run reports no pool, not the previous pooled run's
+    counters."""
+    runner = ShardedSuiteRunner(_spec(), 2)
+    runner.run(_suite()[:2], optimize_kwargs={})
+    assert runner.last_pool_stats["tasks_completed"] == 2
+    runner.run(_suite()[:1], optimize_kwargs={})  # one clip: inline
+    assert runner.last_pool_stats is None
 
 
 def test_stall_detector_converts_hang_into_retry(reference_outcomes):
@@ -302,15 +385,16 @@ def test_stall_detector_converts_hang_into_retry(reference_outcomes):
     assert stats["tasks_retried"] == 1
 
 
-def test_torn_pipe_frame_fails_sweep():
+@pytest.mark.parametrize("front_door", sorted(FRONT_DOORS))
+def test_torn_pipe_frame_fails_sweep(front_door):
     """A worker that writes a torn frame and dies corrupts the stream;
-    that is not retriable — the sweep fails loudly."""
+    that is not retriable — the clip fails loudly."""
     plan = FaultPlan([
         FaultRule(point="pipe.frame", action="corrupt", match="fv1@0"),
     ])
-    runner = _runner(plan, retries=2)
+    door = FRONT_DOORS[front_door](plan, retries=2)
     with pytest.raises(ServiceError, match="corrupt"):
-        runner.run(_suite(), optimize_kwargs={})
+        door.run()
 
 
 def test_verifier_flush_fault_fails_cleanly():
@@ -341,15 +425,17 @@ def test_verifier_flush_fault_fails_cleanly():
 
 # -- pool-retirement edges ----------------------------------------------------
 
-def test_revive_cap_exhaustion_mid_backlog():
-    """Workers that keep dying exhaust the revive cap mid-backlog: the
-    pool is retired with a clear error instead of reviving forever."""
+@pytest.mark.parametrize("front_door", sorted(FRONT_DOORS))
+def test_revive_cap_exhaustion_mid_backlog(front_door):
+    """Workers that keep dying exhaust the pool's revive budget
+    (3 × workers) mid-backlog: the pool is retired with a clear error
+    instead of reviving forever."""
     plan = FaultPlan([
         FaultRule(point="worker.before_result", action="crash"),
     ])
-    runner = _runner(plan, retries=8, max_revives=1)
+    door = FRONT_DOORS[front_door](plan, retries=8)
     with pytest.raises(ServiceError, match="lost its workers repeatedly"):
-        runner.run(_suite(), optimize_kwargs={})
+        door.run()
 
 
 def test_worker_dying_during_engine_build_on_revival(reference_outcomes):
@@ -375,8 +461,6 @@ def test_worker_dying_during_engine_build_on_revival(reference_outcomes):
 def test_run_suite_sharded_retry_parity_with_verification():
     """End-to-end service path: crash-retry under streaming verification
     yields OptResults identical to an unfaulted sharded sweep."""
-    from repro.service import MaskOptService
-
     suite = _suite()
     reference = MaskOptService(
         litho_config=_litho_config()
@@ -405,10 +489,6 @@ def test_run_suite_sharded_retry_parity_with_verification():
 def test_daemon_crash_retry_resolves_request():
     """Daemon path: a request whose worker crashes mid-clip is retried
     to success; the stats record the retry, not a failure."""
-    import asyncio
-
-    from repro.service import MaskOptDaemon, OptRequest
-
     clip = generate_via_clip("fv1", n_vias=2, seed=41, clip_nm=1024)
     plan = FaultPlan([
         FaultRule(point="worker.before_result", action="crash",
@@ -439,16 +519,18 @@ def test_daemon_crash_retry_resolves_request():
 
 # -- chaos matrix (CI sweeps $REPRO_CHAOS_SEED over several values) -----------
 
-def test_chaos_seeded_faults_converge(reference_outcomes):
+@pytest.mark.parametrize("front_door", sorted(FRONT_DOORS))
+def test_chaos_seeded_faults_converge(front_door, reference_outcomes):
     """Seeded-rate chaos: the fault pattern is a pure function of the
-    seed, so a passing seed can never flake.  Crashes are transient
-    faults — with retry budget the suite must still converge to the
-    bit-for-bit reference."""
+    seed (and the same through either front door), so a passing seed
+    can never flake.  Crashes are transient faults — with retry budget
+    the suite must still converge to the bit-for-bit reference.  CI's
+    seeds 0-2 crash 5, 3 and 3 times, within the pool's revive budget
+    of 3 × workers = 6."""
     seed = int(os.environ.get("REPRO_CHAOS_SEED", "0"))
     plan = FaultPlan([
         FaultRule(point="worker.before_result", action="crash", rate=0.3),
         FaultRule(point="worker.optimize", action="crash", rate=0.15),
     ], seed=seed)
-    runner = _runner(plan, retries=6, max_revives=40)
-    outcomes = runner.run(_suite(), optimize_kwargs={})
+    outcomes = FRONT_DOORS[front_door](plan, retries=6).run()
     assert_outcomes_identical(outcomes, reference_outcomes)
